@@ -46,6 +46,46 @@ void BM_MatrixMatmul256(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixMatmul256);
 
+// The workload's shape: one city interval's batched actor product is 128
+// rows (slices) through 64-wide hidden layers, far from 256^3.
+void BM_MatrixMatmul128x64x64(benchmark::State& state) {
+  Rng rng(1);
+  nn::Matrix a(128, 64);
+  nn::Matrix b(64, 64);
+  nn::Matrix out;
+  for (auto& v : a.data()) v = rng.normal();
+  for (auto& v : b.data()) v = rng.normal();
+  for (auto _ : state) {
+    a.matmul_into(b, out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["FLOPS"] = benchmark::Counter(
+      2.0 * 128 * 64 * 64 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MatrixMatmul128x64x64);
+
+// Batched actor inference at the city's shape: 128 rows through the
+// 16-64-64-24 LeakyReLU/sigmoid actor, allocation-free (Mlp::infer_into,
+// so one fused dense kernel per layer under the avx2 backend).
+void BM_DenseInfer(benchmark::State& state) {
+  Rng rng(1);
+  const nn::Mlp actor({16, 64, 64, 24}, nn::Activation::LeakyRelu,
+                      nn::Activation::Sigmoid, rng);
+  nn::Matrix x(128, 16);
+  for (auto& v : x.data()) v = rng.normal();
+  std::vector<nn::Matrix> workspace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(actor.infer_into(x, workspace).data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["FLOPS"] = benchmark::Counter(
+      2.0 * 128 * (16 * 64 + 64 * 64 + 64 * 24) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DenseInfer);
+
 void BM_DdpgInference(benchmark::State& state) {
   Rng rng(1);
   rl::DdpgConfig config;

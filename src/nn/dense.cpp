@@ -1,6 +1,9 @@
 #include "nn/dense.h"
 
 #include <cmath>
+#include <stdexcept>
+
+#include "nn/gemm.h"
 
 namespace edgeslice::nn {
 
@@ -20,19 +23,31 @@ Matrix Dense::forward(const Matrix& x) {
   cached_input_ = x;
   cached_pre_activation_ = x.matmul(weights_);
   cached_pre_activation_.add_row_broadcast_assign(bias_);
-  return activate(cached_pre_activation_, activation_);
+  Matrix y = cached_pre_activation_;
+  activate_assign(y, activation_);
+  return y;
 }
 
 Matrix Dense::infer(const Matrix& x) const {
-  Matrix z = x.matmul(weights_);
-  z.add_row_broadcast_assign(bias_);
-  return activate(z, activation_);
+  Matrix out;
+  infer_into(x, out);
+  return out;
 }
 
 void Dense::infer_into(const Matrix& x, Matrix& out) const {
-  x.matmul_into(weights_, out);
-  out.add_row_broadcast_assign(bias_);
-  activate_assign(out, activation_);
+  if (active_gemm_backend() != GemmBackend::Avx2) {
+    x.matmul_into(weights_, out);
+    out.add_row_broadcast_assign(bias_);
+    activate_assign(out, activation_);
+    return;
+  }
+  // Fused: one kernel writes act(x W + b), so `out` needs no zero-fill.
+  if (x.cols() != weights_.rows())
+    throw std::invalid_argument("Dense::infer_into: input width mismatch");
+  if (&out == &x) throw std::invalid_argument("Dense::infer_into: output aliases input");
+  if (out.rows() != x.rows() || out.cols() != out_dim()) out = Matrix(x.rows(), out_dim());
+  detail::dense_avx2(x.data().data(), weights_.data().data(), bias_.data().data(),
+                     out.data().data(), x.rows(), x.cols(), out_dim(), activation_);
 }
 
 Matrix Dense::backward(const Matrix& grad_out) {

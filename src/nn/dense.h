@@ -16,12 +16,16 @@ class Dense {
   Matrix forward(const Matrix& x);
 
   /// Forward without caching (inference only; safe to call concurrently
-  /// with a cached training forward pass being alive).
+  /// with a cached training forward pass being alive). A wrapper over
+  /// infer_into() with a fresh output.
   Matrix infer(const Matrix& x) const;
 
-  /// Allocation-free infer into a caller-owned buffer (reshaped only on
-  /// first use / batch change). Bit-identical to infer(); `out` must not
-  /// alias `x`.
+  /// Allocation-free inference into a caller-owned buffer (reshaped only
+  /// on first use / batch change); `out` must not alias `x`. Under the
+  /// Avx2 backend this is one fused kernel, act(x W + b) written once
+  /// (nn/gemm.h dense_avx2); under Scalar it is the product, a bias pass
+  /// and activate_assign. Either way it equals forward()'s output under
+  /// the same backend, bit for bit.
   void infer_into(const Matrix& x, Matrix& out) const;
 
   /// Backward pass: given dL/dY, accumulates dL/dW, dL/db and returns dL/dX.

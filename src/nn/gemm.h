@@ -29,6 +29,8 @@
 
 namespace edgeslice::nn {
 
+enum class Activation;  // nn/activations.h
+
 /// A resolved kernel backend (what actually runs).
 enum class GemmBackend { Scalar = 0, Avx2 = 1 };
 
@@ -84,6 +86,15 @@ void gemm_at_avx2(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n);
 void gemm_bt_avx2(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n);
+
+// The fused dense layer: out(m x n) = act(x(m x k) * w(k x n) + bias(1 x n)),
+// overwriting out. Each element is the nn kernel's ascending-k fma chain
+// from +0.0, then + bias, then activate() — bit-identical to zero-fill +
+// gemm_nn_avx2 + a bias pass + activate_assign, in one pass over out.
+// Relu and LeakyRelu are selected in registers; Sigmoid, Tanh and
+// Softplus run the scalar activate() after the store.
+void dense_avx2(const double* x, const double* w, const double* bias, double* out,
+                std::size_t m, std::size_t k, std::size_t n, Activation activation);
 
 }  // namespace detail
 

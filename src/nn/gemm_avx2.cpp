@@ -20,15 +20,23 @@
 // k plus an fma scalar tail, combined in one fixed order — again a pure
 // function of the two rows and k alone.
 //
+// The fused dense kernel (dense_avx2) runs the same chain from +0.0 over
+// all of k, then adds the bias and applies the activation once, so it
+// equals zero-fill + gemm_nn_avx2 + bias pass + activate_assign bit for
+// bit (DESIGN.md Sec. 12).
+//
 // Versus the Scalar backend, each term suffers one rounding (fma) instead
 // of two (mul then add); DESIGN.md documents the resulting bound.
 #include "nn/gemm.h"
+
+#include <algorithm>
+
+#include "nn/activations.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cmath>
 
 #define EDGESLICE_AVX2 __attribute__((target("avx2,fma")))
@@ -41,25 +49,74 @@ namespace {
 // inside L2 everywhere this runs. Results are tile-size independent.
 constexpr std::size_t kAvx2TileK = 128;
 
-/// One register block of ROWS output rows x 8 columns, accumulating
-/// c[i..i+ROWS)[j..j+8) over kk in [kk0, kk1). `a_i` has the stride
-/// layout of the caller: element (row r, depth kk) lives at
-/// a_i[r * sa_row + kk * sa_depth] (sa_row/sa_depth cover both the NN and
-/// the A^T access patterns with one kernel).
-template <int ROWS>
+/// What a register block does around its fma chain. Accumulate primes
+/// the accumulators from c and stores them back raw (the GEMM kernels,
+/// k-tiled). The Bias* epilogues are the fused dense layer: accumulators
+/// start at +0.0 (what a zero-filled c would load), the chain runs over
+/// the whole of k, and after it the bias is added and the rectifier, if
+/// any, selected in registers before the one store.
+enum class Epilogue { Accumulate, Bias, BiasRelu, BiasLeakyRelu };
+
+/// Rectifier select on four lanes: z > 0 ? z : 0 (Relu) or
+/// z > 0 ? z : slope * z (LeakyRelu). The ordered compare is false for
+/// NaN and -0.0, exactly like the scalar `z > 0.0` in activate(), and
+/// Relu selects 0.0 instead of multiplying, so -0.0 and NaN map to +0.0
+/// just as the scalar path does.
+template <Epilogue E>
+EDGESLICE_AVX2 inline __m256d rectify(__m256d z) {
+  if constexpr (E == Epilogue::BiasRelu || E == Epilogue::BiasLeakyRelu) {
+    const __m256d positive = _mm256_cmp_pd(z, _mm256_setzero_pd(), _CMP_GT_OQ);
+    const __m256d negative_branch =
+        E == Epilogue::BiasRelu ? _mm256_setzero_pd()
+                                : _mm256_mul_pd(_mm256_set1_pd(kLeakyReluSlope), z);
+    return _mm256_blendv_pd(negative_branch, z, positive);
+  } else {
+    return z;
+  }
+}
+
+/// One-lane rectifier, the same select as rectify() (and as activate()).
+template <Epilogue E>
+inline double rectify(double z) {
+  if constexpr (E == Epilogue::BiasRelu) return z > 0.0 ? z : 0.0;
+  if constexpr (E == Epilogue::BiasLeakyRelu) return z > 0.0 ? z : kLeakyReluSlope * z;
+  return z;
+}
+
+// The `#pragma GCC unroll` on every per-row loop below is load-bearing:
+// at -O2 GCC does not fully unroll them on its own, and an accumulator
+// array that is indexed by a live loop counter stays on the stack, so
+// every fma round-trips through a store and a store-forwarded reload
+// (a 128x64x64 product ran 2.8x slower so on a 4-core AVX2 x86 host).
+// Fully unrolled, each acc[r] is a register for the whole k loop. GCC
+// and Clang both honour the pragma; it moves no bits either way.
+
+/// One register block of ROWS output rows x 8 columns over kk in
+/// [kk0, kk1). `a_i` has the stride layout of the caller: element
+/// (row r, depth kk) lives at a_i[r * sa_row + kk * sa_depth] (sa_row /
+/// sa_depth cover both the NN and the A^T access patterns with one
+/// kernel). `bias` is read only by the Bias* epilogues.
+template <int ROWS, Epilogue E>
 EDGESLICE_AVX2 inline void block_rows_x8(const double* a_i, std::size_t sa_row,
                                          std::size_t sa_depth, const double* b,
-                                         double* c_i, std::size_t n, std::size_t j,
-                                         std::size_t kk0, std::size_t kk1) {
+                                         const double* bias, double* c_i, std::size_t n,
+                                         std::size_t j, std::size_t kk0, std::size_t kk1) {
   __m256d acc_lo[ROWS];
   __m256d acc_hi[ROWS];
+#pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
-    acc_lo[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j);
-    acc_hi[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j + 4);
+    if constexpr (E == Epilogue::Accumulate) {
+      acc_lo[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j);
+      acc_hi[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j + 4);
+    } else {
+      acc_lo[r] = _mm256_setzero_pd();
+      acc_hi[r] = _mm256_setzero_pd();
+    }
   }
   for (std::size_t kk = kk0; kk < kk1; ++kk) {
     const __m256d b_lo = _mm256_loadu_pd(b + kk * n + j);
     const __m256d b_hi = _mm256_loadu_pd(b + kk * n + j + 4);
+#pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256d a_r = _mm256_broadcast_sd(
           a_i + static_cast<std::size_t>(r) * sa_row + kk * sa_depth);
@@ -67,6 +124,16 @@ EDGESLICE_AVX2 inline void block_rows_x8(const double* a_i, std::size_t sa_row,
       acc_hi[r] = _mm256_fmadd_pd(a_r, b_hi, acc_hi[r]);
     }
   }
+  if constexpr (E != Epilogue::Accumulate) {
+    const __m256d bias_lo = _mm256_loadu_pd(bias + j);
+    const __m256d bias_hi = _mm256_loadu_pd(bias + j + 4);
+#pragma GCC unroll 8
+    for (int r = 0; r < ROWS; ++r) {
+      acc_lo[r] = rectify<E>(_mm256_add_pd(acc_lo[r], bias_lo));
+      acc_hi[r] = rectify<E>(_mm256_add_pd(acc_hi[r], bias_hi));
+    }
+  }
+#pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     _mm256_storeu_pd(c_i + static_cast<std::size_t>(r) * n + j, acc_lo[r]);
     _mm256_storeu_pd(c_i + static_cast<std::size_t>(r) * n + j + 4, acc_hi[r]);
@@ -74,41 +141,87 @@ EDGESLICE_AVX2 inline void block_rows_x8(const double* a_i, std::size_t sa_row,
 }
 
 /// Same, for a 4-column block.
-template <int ROWS>
+template <int ROWS, Epilogue E>
 EDGESLICE_AVX2 inline void block_rows_x4(const double* a_i, std::size_t sa_row,
                                          std::size_t sa_depth, const double* b,
-                                         double* c_i, std::size_t n, std::size_t j,
-                                         std::size_t kk0, std::size_t kk1) {
+                                         const double* bias, double* c_i, std::size_t n,
+                                         std::size_t j, std::size_t kk0, std::size_t kk1) {
   __m256d acc[ROWS];
+#pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
-    acc[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j);
+    if constexpr (E == Epilogue::Accumulate) {
+      acc[r] = _mm256_loadu_pd(c_i + static_cast<std::size_t>(r) * n + j);
+    } else {
+      acc[r] = _mm256_setzero_pd();
+    }
   }
   for (std::size_t kk = kk0; kk < kk1; ++kk) {
     const __m256d b_v = _mm256_loadu_pd(b + kk * n + j);
+#pragma GCC unroll 8
     for (int r = 0; r < ROWS; ++r) {
       const __m256d a_r = _mm256_broadcast_sd(
           a_i + static_cast<std::size_t>(r) * sa_row + kk * sa_depth);
       acc[r] = _mm256_fmadd_pd(a_r, b_v, acc[r]);
     }
   }
+  if constexpr (E != Epilogue::Accumulate) {
+    const __m256d bias_v = _mm256_loadu_pd(bias + j);
+#pragma GCC unroll 8
+    for (int r = 0; r < ROWS; ++r) acc[r] = rectify<E>(_mm256_add_pd(acc[r], bias_v));
+  }
+#pragma GCC unroll 8
   for (int r = 0; r < ROWS; ++r) {
     _mm256_storeu_pd(c_i + static_cast<std::size_t>(r) * n + j, acc[r]);
   }
 }
 
 /// Scalar column tail: the same ascending-k fma chain, one lane wide.
-template <int ROWS>
+template <int ROWS, Epilogue E>
 EDGESLICE_AVX2 inline void block_rows_x1(const double* a_i, std::size_t sa_row,
                                          std::size_t sa_depth, const double* b,
-                                         double* c_i, std::size_t n, std::size_t j,
-                                         std::size_t kk0, std::size_t kk1) {
+                                         const double* bias, double* c_i, std::size_t n,
+                                         std::size_t j, std::size_t kk0, std::size_t kk1) {
   for (int r = 0; r < ROWS; ++r) {
-    double acc = c_i[static_cast<std::size_t>(r) * n + j];
+    double* c_rj = c_i + static_cast<std::size_t>(r) * n + j;
+    double acc = E == Epilogue::Accumulate ? *c_rj : 0.0;
     for (std::size_t kk = kk0; kk < kk1; ++kk) {
       acc = std::fma(a_i[static_cast<std::size_t>(r) * sa_row + kk * sa_depth],
                      b[kk * n + j], acc);
     }
-    c_i[static_cast<std::size_t>(r) * n + j] = acc;
+    if constexpr (E != Epilogue::Accumulate) acc = rectify<E>(acc + bias[j]);
+    *c_rj = acc;
+  }
+}
+
+/// All register blocks of c(m x n) over kk in [kk0, kk1): 4-row strips,
+/// then single rows; within each, 8-column blocks, then a 4-column block,
+/// then single columns.
+template <Epilogue E>
+EDGESLICE_AVX2 void sweep(const double* a, std::size_t sa_row, std::size_t sa_depth,
+                          const double* b, const double* bias, double* c, std::size_t m,
+                          std::size_t n, std::size_t kk0, std::size_t kk1) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const double* a_i = a + i * sa_row;
+    double* c_i = c + i * n;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+      block_rows_x8<4, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
+    for (; j + 4 <= n; j += 4)
+      block_rows_x4<4, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
+    for (; j < n; ++j)
+      block_rows_x1<4, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
+  }
+  for (; i < m; ++i) {
+    const double* a_i = a + i * sa_row;
+    double* c_i = c + i * n;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8)
+      block_rows_x8<1, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
+    for (; j + 4 <= n; j += 4)
+      block_rows_x4<1, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
+    for (; j < n; ++j)
+      block_rows_x1<1, E>(a_i, sa_row, sa_depth, b, bias, c_i, n, j, kk0, kk1);
   }
 }
 
@@ -119,24 +232,8 @@ EDGESLICE_AVX2 void gemm_acc(const double* a, std::size_t sa_row, std::size_t sa
                              const double* b, double* c, std::size_t m, std::size_t k,
                              std::size_t n) {
   for (std::size_t kk0 = 0; kk0 < k; kk0 += kAvx2TileK) {
-    const std::size_t kk1 = std::min(k, kk0 + kAvx2TileK);
-    std::size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const double* a_i = a + i * sa_row;
-      double* c_i = c + i * n;
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) block_rows_x8<4>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-      for (; j + 4 <= n; j += 4) block_rows_x4<4>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-      for (; j < n; ++j) block_rows_x1<4>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-    }
-    for (; i < m; ++i) {
-      const double* a_i = a + i * sa_row;
-      double* c_i = c + i * n;
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) block_rows_x8<1>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-      for (; j + 4 <= n; j += 4) block_rows_x4<1>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-      for (; j < n; ++j) block_rows_x1<1>(a_i, sa_row, sa_depth, b, c_i, n, j, kk0, kk1);
-    }
+    sweep<Epilogue::Accumulate>(a, sa_row, sa_depth, b, nullptr, c, m, n, kk0,
+                                std::min(k, kk0 + kAvx2TileK));
   }
 }
 
@@ -187,6 +284,29 @@ EDGESLICE_AVX2 void gemm_bt_avx2(const double* a, const double* b, double* c,
   }
 }
 
+EDGESLICE_AVX2 void dense_avx2(const double* x, const double* w, const double* bias,
+                               double* out, std::size_t m, std::size_t k, std::size_t n,
+                               Activation activation) {
+  // One untiled sweep: each block's chain covers all of k in registers,
+  // so the output is written once, already biased and rectified.
+  switch (activation) {
+    case Activation::Relu:
+      sweep<Epilogue::BiasRelu>(x, k, 1, w, bias, out, m, n, 0, k);
+      return;
+    case Activation::LeakyRelu:
+      sweep<Epilogue::BiasLeakyRelu>(x, k, 1, w, bias, out, m, n, 0, k);
+      return;
+    default:
+      sweep<Epilogue::Bias>(x, k, 1, w, bias, out, m, n, 0, k);
+      // Identity is done; the transcendental heads keep the scalar
+      // activate() (a vector exp/tanh would move bits).
+      if (activation != Activation::Identity) {
+        for (std::size_t e = 0; e < m * n; ++e) out[e] = activate(out[e], activation);
+      }
+      return;
+  }
+}
+
 }  // namespace edgeslice::nn::detail
 
 #else  // non-x86: unreachable (cpu_supports_avx2_fma() is false), but keep
@@ -205,6 +325,14 @@ void gemm_at_avx2(const double* a, const double* b, double* c, std::size_t m,
 void gemm_bt_avx2(const double* a, const double* b, double* c, std::size_t m,
                   std::size_t k, std::size_t n) {
   gemm_bt_scalar(a, b, c, m, k, n);
+}
+void dense_avx2(const double* x, const double* w, const double* bias, double* out,
+                std::size_t m, std::size_t k, std::size_t n, Activation activation) {
+  std::fill(out, out + m * n, 0.0);
+  gemm_nn_scalar(x, w, out, m, k, n);
+  for (std::size_t e = 0; e < m * n; ++e) {
+    out[e] = activate(out[e] + bias[e % n], activation);
+  }
 }
 
 }  // namespace edgeslice::nn::detail

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/binio.h"
 
@@ -95,9 +96,9 @@ Matrix Mlp::forward(const Matrix& x) {
 }
 
 Matrix Mlp::infer(const Matrix& x) const {
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer.infer(h);
-  return h;
+  std::vector<Matrix> workspace;
+  infer_into(x, workspace);
+  return std::move(workspace.back());
 }
 
 const Matrix& Mlp::infer_into(const Matrix& x,
@@ -112,7 +113,8 @@ const Matrix& Mlp::infer_into(const Matrix& x,
 }
 
 std::vector<double> Mlp::infer_vector(const std::vector<double>& x) const {
-  return infer(Matrix::row(x)).row_vector(0);
+  Matrix out = infer(Matrix::row(x));
+  return std::move(out.data());
 }
 
 Matrix Mlp::backward(const Matrix& grad_out) {

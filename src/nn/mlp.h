@@ -23,7 +23,8 @@ class Mlp {
 
   /// Forward pass caching intermediate state for backward().
   Matrix forward(const Matrix& x);
-  /// Stateless inference (does not disturb cached training state).
+  /// Stateless inference (does not disturb cached training state): a
+  /// wrapper over infer_into() with a fresh workspace.
   Matrix infer(const Matrix& x) const;
   /// Convenience: single input vector -> single output vector.
   std::vector<double> infer_vector(const std::vector<double>& x) const;
@@ -31,8 +32,9 @@ class Mlp {
   /// Allocation-free inference: layer i's output lands in workspace[i]
   /// (resized to layer count / reshaped on batch change; steady-state
   /// calls allocate nothing), and the returned reference is
-  /// workspace.back(). Bit-identical to infer(x) — this is the hot-path
-  /// variant batched cross-agent inference runs every interval.
+  /// workspace.back(). The one inference implementation: infer(),
+  /// infer_vector() and batched cross-agent inference all run it, one
+  /// Dense::infer_into per layer.
   const Matrix& infer_into(const Matrix& x, std::vector<Matrix>& workspace) const;
 
   /// Backprop dL/dOutput through the whole stack; accumulates parameter

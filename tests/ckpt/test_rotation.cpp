@@ -7,6 +7,7 @@
 // latest() in favour of the next-newest valid one; a crash mid-prune
 // leaves extra files, never fewer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -25,7 +26,12 @@ namespace fs = std::filesystem;
 class RotationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() / "esck_rotation_test";
+    // One directory per case and process: ctest -j runs every case as
+    // its own process, and a shared fixed directory let one case's
+    // remove_all delete another case's checkpoints mid-test.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() / ("esck_rotation_test_" + std::string(info->name()) +
+                                        "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     base_ = (dir_ / "run.ckpt").string();

@@ -12,9 +12,16 @@
 //   - determinism: each backend is batch-invariant bit for bit — row r
 //     of an m-row product equals the 1-row product of row r — which is
 //     what makes cross-agent batched inference observation-neutral.
+//   - kernel contract: each Avx2 kernel equals a plain scalar reference
+//     of its documented chain bit for bit (the nn/at/dense chain is
+//     ascending-k std::fma from +0.0; dense then adds the bias and runs
+//     the scalar activate()), so a kernel that stayed batch-invariant
+//     but changed its chain fails here.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -269,6 +276,132 @@ TEST(ActivateAssignTest, BitIdenticalToActivateForEveryActivation) {
     EXPECT_EQ(z.data(), expected.data())
         << "activation " << static_cast<int>(a);
   }
+}
+
+/// Same bits, except that any two NaNs match (payloads are not part of
+/// the contract); +0.0 and -0.0 do not.
+bool same_bits(double x, double y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Contract-test operand: normals with exact +0.0 / -0.0 entries and
+/// negatives mixed in, and (for m > 2) row 2 carrying one NaN.
+Matrix contract_operand(std::size_t rows, std::size_t cols, Rng& rng, bool nan_row) {
+  Matrix m = random_matrix(rows, cols, rng);
+  auto& data = m.data();
+  for (std::size_t e = 0; e < data.size(); ++e) {
+    if (e % 7 == 3) data[e] = 0.0;
+    if (e % 11 == 5) data[e] = -0.0;
+  }
+  if (nan_row && rows > 2) m(2, cols / 2) = std::numeric_limits<double>::quiet_NaN();
+  return m;
+}
+
+/// Reference chain for the nn/at/dense kernels: c(i, j) is the
+/// ascending-k std::fma fold from +0.0 of a(i, kk) * b(kk, j).
+double reference_chain(const Matrix& a, const Matrix& b, std::size_t i, std::size_t j) {
+  double acc = 0.0;
+  for (std::size_t kk = 0; kk < a.cols(); ++kk) acc = std::fma(a(i, kk), b(kk, j), acc);
+  return acc;
+}
+
+/// Reference for the bt kernel's documented order: two 4-lane fma
+/// partials over 8-wide k steps (then one more 4-wide step into the
+/// first), an fma scalar tail from 0.0, and one fixed combine.
+double reference_bt(const Matrix& a, const Matrix& bt, std::size_t i, std::size_t j) {
+  const std::size_t k = a.cols();
+  double l0[4] = {0.0, 0.0, 0.0, 0.0};
+  double l1[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      l0[l] = std::fma(a(i, kk + l), bt(j, kk + l), l0[l]);
+      l1[l] = std::fma(a(i, kk + 4 + l), bt(j, kk + 4 + l), l1[l]);
+    }
+  }
+  for (; kk + 4 <= k; kk += 4) {
+    for (std::size_t l = 0; l < 4; ++l) l0[l] = std::fma(a(i, kk + l), bt(j, kk + l), l0[l]);
+  }
+  double tail = 0.0;
+  for (; kk < k; ++kk) tail = std::fma(a(i, kk), bt(j, kk), tail);
+  return ((l0[0] + l0[1]) + (l0[2] + l0[3])) + ((l1[0] + l1[1]) + (l1[2] + l1[3])) + tail;
+}
+
+TEST(GemmKernelContract, Avx2KernelsMatchScalarReferenceBitForBit) {
+  if (!cpu_supports_avx2_fma()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  const std::size_t kNs[] = {1, 3, 4, 7, 8, 15, 16, 17, 24, 64};
+  const std::size_t kKs[] = {1, 16, 64, 127, 128, 129, 257};
+  const Activation kActivations[] = {Activation::Identity, Activation::Relu,
+                                     Activation::LeakyRelu, Activation::Tanh,
+                                     Activation::Sigmoid,  Activation::Softplus};
+  Rng rng(47);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t n : kNs) {
+      for (const std::size_t k : kKs) {
+        const Matrix a = contract_operand(m, k, rng, /*nan_row=*/true);
+        const Matrix b = contract_operand(k, n, rng, /*nan_row=*/false);
+        const Matrix bt = contract_operand(n, k, rng, /*nan_row=*/false);
+        const Matrix a_t = a.transpose();  // the at kernel's stored layout
+        Matrix bias = contract_operand(1, n, rng, /*nan_row=*/false);
+        bias(0, 0) = -0.0;
+        Matrix nn(m, n);
+        Matrix at(m, n);
+        Matrix bt_out(m, n, 1.0);  // bt overwrites
+        detail::gemm_nn_avx2(a.data().data(), b.data().data(), nn.data().data(), m, k, n);
+        detail::gemm_at_avx2(a_t.data().data(), b.data().data(), at.data().data(), m, k, n);
+        detail::gemm_bt_avx2(a.data().data(), bt.data().data(), bt_out.data().data(), m, k,
+                             n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const double chain = reference_chain(a, b, i, j);
+            ASSERT_TRUE(same_bits(nn(i, j), chain))
+                << "nn m=" << m << " n=" << n << " k=" << k << " (" << i << ", " << j
+                << "): " << nn(i, j) << " vs " << chain;
+            ASSERT_TRUE(same_bits(at(i, j), chain))
+                << "at m=" << m << " n=" << n << " k=" << k << " (" << i << ", " << j << ")";
+            ASSERT_TRUE(same_bits(bt_out(i, j), reference_bt(a, bt, i, j)))
+                << "bt m=" << m << " n=" << n << " k=" << k << " (" << i << ", " << j << ")";
+          }
+        }
+        for (const Activation act : kActivations) {
+          Matrix out(m, n, 7.0);  // the fused kernel overwrites
+          detail::dense_avx2(a.data().data(), b.data().data(), bias.data().data(),
+                             out.data().data(), m, k, n, act);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              const double expected = activate(reference_chain(a, b, i, j) + bias(0, j), act);
+              ASSERT_TRUE(same_bits(out(i, j), expected))
+                  << "dense " << activation_name(act) << " m=" << m << " n=" << n
+                  << " k=" << k << " (" << i << ", " << j << "): " << out(i, j) << " vs "
+                  << expected;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ActivateAssignTest, RectifiersSelectLikeActivateOnSignedZeroAndNan) {
+  // std::max(-0.0, 0.0) is -0.0; the rectifiers must return +0.0 there,
+  // and the NaN branch of `z > 0.0 ? z : ...`, exactly as activate().
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Activation a : {Activation::Relu, Activation::LeakyRelu}) {
+    Matrix z{{-0.0, 0.0, nan, -nan, inf, -inf, -2.5, 3.0, 1e-310, -1e-310}};
+    const Matrix expected = activate(z, a);
+    activate_assign(z, a);
+    for (std::size_t c = 0; c < z.cols(); ++c) {
+      EXPECT_TRUE(same_bits(z(0, c), expected(0, c)))
+          << activation_name(a) << " column " << c << ": " << z(0, c) << " vs "
+          << expected(0, c);
+    }
+  }
+  Matrix relu_zeros{{-0.0, nan}};
+  activate_assign(relu_zeros, Activation::Relu);
+  EXPECT_FALSE(std::signbit(relu_zeros(0, 0)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(relu_zeros(0, 1)), 0u);
 }
 
 TEST_F(GemmTest, MlpInferIntoBitIdenticalToInferUnderBothBackends) {

@@ -66,6 +66,23 @@ void BM_MatrixMatmul128x64x64(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixMatmul128x64x64);
 
+// The backprop input-gradient product dZ * W^T (the bt kernel) at the
+// training recipe's hidden shape: 64 rows x 64 deep x 64 columns.
+void BM_MatrixMatmulTransposed64(benchmark::State& state) {
+  Rng rng(1);
+  nn::Matrix a(64, 64);
+  nn::Matrix b(64, 64);
+  for (auto& v : a.data()) v = rng.normal();
+  for (auto& v : b.data()) v = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a.matmul_transposed(b));
+  }
+  state.counters["FLOPS"] = benchmark::Counter(
+      2.0 * 64 * 64 * 64 * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_MatrixMatmulTransposed64);
+
 // Batched actor inference at the city's shape: 128 rows through the
 // 16-64-64-24 LeakyReLU/sigmoid actor, allocation-free (Mlp::infer_into,
 // so one fused dense kernel per layer under the avx2 backend).
@@ -121,6 +138,30 @@ void BM_DdpgTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DdpgTrainStep);
+
+// One DDPG update at the training recipe's shape (perfbench train_ddpg,
+// bench/common.cpp): state 10, action 15 (5 slices), hidden 64 x 2,
+// batch 64. The replay is warmed past the batch before timing, so each
+// observe() is one push plus one train_batch().
+void BM_DdpgTrainBatch(benchmark::State& state) {
+  Rng rng(1);
+  rl::DdpgConfig config;
+  config.base.state_dim = 10;
+  config.base.action_dim = 15;
+  config.base.hidden = 64;
+  config.base.hidden_layers = 2;
+  config.batch_size = 64;
+  config.warmup = 128;
+  rl::Ddpg agent(config, rng);
+  Rng data(2);
+  const auto observe = [&] {
+    agent.observe(data.normals(10), data.uniforms(15), data.normal(), data.normals(10),
+                  false);
+  };
+  for (std::size_t i = 0; i < config.warmup; ++i) observe();
+  for (auto _ : state) observe();
+}
+BENCHMARK(BM_DdpgTrainBatch);
 
 void BM_CoordinatorUpdate(benchmark::State& state) {
   const auto slices = static_cast<std::size_t>(state.range(0));

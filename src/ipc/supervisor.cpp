@@ -231,6 +231,14 @@ bool WorkerSupervisor::respawn(std::size_t index) {
   return true;
 }
 
+void WorkerSupervisor::sync(std::size_t index) {
+  Worker& worker = workers_[index];
+  const std::uint64_t nonce = ++worker.ping_nonce;
+  if (!send_to(index, FrameType::Ping, kConnectionScope, encode_u64(nonce))) return;
+  pump([&] { return worker.pong_nonce == nonce || !worker.alive; },
+       config_.io_deadline_ms);
+}
+
 void WorkerSupervisor::restore_hosted(std::size_t index) {
   Worker& worker = workers_[index];
   for (std::uint32_t ra : worker.hosted) {
@@ -316,6 +324,7 @@ void WorkerSupervisor::on_frame(std::size_t index, Frame&& frame) {
       break;
     }
     case FrameType::Pong:
+      worker.pong_nonce = decode_u64(frame.payload, "WorkerSupervisor: pong");
       break;
     default:
       worker.inbox.push_back(std::move(frame));
@@ -377,6 +386,12 @@ std::vector<core::RaPeriodTrace> WorkerSupervisor::run_intervals(
     if (fault_handled[w]) continue;
     fault_handled[w] = true;
     Worker& worker = workers_[w];
+    // The fault lands on the period boundary, after the worker's last
+    // period has fully reached the supervisor: that period's telemetry
+    // flush trails its traces on the socket, and killing the worker
+    // before reading it would lose it (and, at the first period, the
+    // incarnation's WorkerSpawn event) depending on scheduling.
+    if (worker.alive) sync(w);
     if (worker.alive) {
       if (fault == ProcessFaultKind::HalfClose && worker.fd >= 0) {
         // Half-close: the worker sees EOF on its next read and exits;

@@ -128,6 +128,8 @@ class WorkerSupervisor final : public core::RaTransport {
     bool alive = false;
     bool failed = false;  // restart-storm cap tripped: stays down
     bool hello_seen = false;
+    std::uint64_t ping_nonce = 0;  // last Ping sent / last Pong received
+    std::uint64_t pong_nonce = 0;
     int restart_attempts = 0;  // consecutive unplanned restarts
     std::size_t restarts = 0;  // lifetime restarts (introspection)
     int backoff_ms = 0;
@@ -145,6 +147,11 @@ class WorkerSupervisor final : public core::RaTransport {
   /// spawn + hello + restore_hosted; returns false (worker left dead) on
   /// any failure.
   bool respawn(std::size_t worker);
+  /// Ping/Pong round trip: returns once every frame the worker sent
+  /// before reading the Ping has been merged (or the worker is gone, or
+  /// the io deadline passed). A worker answers frames in order, so this
+  /// is the boundary after its last period, telemetry flush included.
+  void sync(std::size_t worker);
   bool send_to(std::size_t worker, FrameType type, std::uint32_t ra,
                std::string payload);
   void on_frame(std::size_t worker, Frame&& frame);

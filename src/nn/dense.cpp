@@ -19,13 +19,18 @@ Dense::Dense(std::size_t in, std::size_t out, Activation activation, Rng& rng)
   for (auto& w : weights_.data()) w = rng.normal(0.0, scale);
 }
 
-Matrix Dense::forward(const Matrix& x) {
+const Matrix& Dense::forward(const Matrix& x) {
   cached_input_ = x;
-  cached_pre_activation_ = x.matmul(weights_);
-  cached_pre_activation_.add_row_broadcast_assign(bias_);
-  Matrix y = cached_pre_activation_;
-  activate_assign(y, activation_);
-  return y;
+  if (grad_reads_pre_activation(activation_)) {
+    // infer_into()'s scalar steps, keeping Z on the way.
+    x.matmul_into(weights_, cached_pre_activation_);
+    cached_pre_activation_.add_row_broadcast_assign(bias_);
+    cached_output_ = cached_pre_activation_;
+    activate_assign(cached_output_, activation_);
+  } else {
+    infer_into(x, cached_output_);
+  }
+  return cached_output_;
 }
 
 Matrix Dense::infer(const Matrix& x) const {
@@ -50,13 +55,17 @@ void Dense::infer_into(const Matrix& x, Matrix& out) const {
                      out.data().data(), x.rows(), x.cols(), out_dim(), activation_);
 }
 
-Matrix Dense::backward(const Matrix& grad_out) {
-  // dL/dZ = dL/dY ⊙ act'(Z)
-  Matrix grad_z = activate_grad(cached_pre_activation_, activation_);
-  grad_z.hadamard_assign(grad_out);
-  weight_grad_.add_transposed_matmul(cached_input_, grad_z);
-  bias_grad_ += grad_z.column_sums();
-  return grad_z.matmul_transposed(weights_);
+Matrix Dense::backward(const Matrix& grad_out, Backprop pass) {
+  // dL/dZ = act'(Z) ⊙ dL/dY
+  activate_grad_product(
+      grad_reads_pre_activation(activation_) ? cached_pre_activation_ : cached_output_,
+      grad_out, activation_, grad_pre_activation_);
+  if (pass != Backprop::Input) {
+    weight_grad_.add_transposed_matmul(cached_input_, grad_pre_activation_);
+    bias_grad_ += grad_pre_activation_.column_sums();
+  }
+  if (pass == Backprop::Parameters) return {};
+  return grad_pre_activation_.matmul_transposed(weights_);
 }
 
 void Dense::zero_grad() {

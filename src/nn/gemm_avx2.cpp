@@ -18,7 +18,9 @@
 //
 // The bt kernel (dot products) uses two 4-lane partial accumulators over
 // k plus an fma scalar tail, combined in one fixed order — again a pure
-// function of the two rows and k alone.
+// function of the two rows and k alone. It computes four output columns
+// per pass (eight independent fma chains) and combines their partials in
+// registers; the per-element order is the same as one column at a time.
 //
 // The fused dense kernel (dense_avx2) runs the same chain from +0.0 over
 // all of k, then adds the bias and applies the activation once, so it
@@ -237,6 +239,90 @@ EDGESLICE_AVX2 void gemm_acc(const double* a, std::size_t sa_row, std::size_t sa
   }
 }
 
+// The bt kernel's per-element order (what the contract test's
+// reference_bt spells out): two 4-lane fma partials, l0 over k steps
+// [8q, 8q+4) and l1 over [8q+4, 8q+8), one more 4-wide step into l0 when
+// k % 8 >= 4, an fma scalar tail from 0.0 over the last k % 4 terms, and
+// the combine ((l0[0]+l0[1]) + (l0[2]+l0[3])) + ((l1[0]+l1[1]) +
+// (l1[2]+l1[3])) + tail. The value depends only on the two rows and k —
+// never on m, n or position.
+
+/// One output element: <arow, brow> in the order above.
+EDGESLICE_AVX2 inline double bt_x1(const double* arow, const double* brow, std::size_t k) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  std::size_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk), _mm256_loadu_pd(brow + kk), acc0);
+    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk + 4), _mm256_loadu_pd(brow + kk + 4),
+                           acc1);
+  }
+  for (; kk + 4 <= k; kk += 4) {
+    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk), _mm256_loadu_pd(brow + kk), acc0);
+  }
+  double tail = 0.0;
+  for (; kk < k; ++kk) tail = std::fma(arow[kk], brow[kk], tail);
+  alignas(32) double l0[4];
+  alignas(32) double l1[4];
+  _mm256_store_pd(l0, acc0);
+  _mm256_store_pd(l1, acc1);
+  return ((l0[0] + l0[1]) + (l0[2] + l0[3])) + ((l1[0] + l1[1]) + (l1[2] + l1[3])) + tail;
+}
+
+/// Lane sums of four partials, one per output column:
+/// lane c = (v[c][0] + v[c][1]) + (v[c][2] + v[c][3]). hadd pairs the
+/// lanes within each 128-bit half; permute2f128 lines the low-pair sums
+/// up against the high-pair sums.
+EDGESLICE_AVX2 inline __m256d lane_sums(const __m256d v[4]) {
+  const __m256d h01 = _mm256_hadd_pd(v[0], v[1]);  // v0 01, v1 01, v0 23, v1 23
+  const __m256d h23 = _mm256_hadd_pd(v[2], v[3]);  // v2 01, v3 01, v2 23, v3 23
+  return _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                       _mm256_permute2f128_pd(h01, h23, 0x31));
+}
+
+/// Four adjacent output elements c[0..4) = <arow, brow_c>, where brow_c =
+/// b4 + c * k: eight independent fma chains (two partials per column)
+/// share each load of arow, and the combine runs in registers.
+EDGESLICE_AVX2 inline void bt_x4(const double* arow, const double* b4, std::size_t k,
+                                 double* c) {
+  __m256d acc0[4];
+  __m256d acc1[4];
+#pragma GCC unroll 4
+  for (int col = 0; col < 4; ++col) {
+    acc0[col] = _mm256_setzero_pd();
+    acc1[col] = _mm256_setzero_pd();
+  }
+  std::size_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256d a0 = _mm256_loadu_pd(arow + kk);
+    const __m256d a1 = _mm256_loadu_pd(arow + kk + 4);
+#pragma GCC unroll 4
+    for (int col = 0; col < 4; ++col) {
+      const double* brow = b4 + static_cast<std::size_t>(col) * k;
+      acc0[col] = _mm256_fmadd_pd(a0, _mm256_loadu_pd(brow + kk), acc0[col]);
+      acc1[col] = _mm256_fmadd_pd(a1, _mm256_loadu_pd(brow + kk + 4), acc1[col]);
+    }
+  }
+  for (; kk + 4 <= k; kk += 4) {
+    const __m256d a0 = _mm256_loadu_pd(arow + kk);
+#pragma GCC unroll 4
+    for (int col = 0; col < 4; ++col) {
+      acc0[col] = _mm256_fmadd_pd(
+          a0, _mm256_loadu_pd(b4 + static_cast<std::size_t>(col) * k + kk), acc0[col]);
+    }
+  }
+  alignas(32) double tail[4] = {0.0, 0.0, 0.0, 0.0};
+  for (; kk < k; ++kk) {
+#pragma GCC unroll 4
+    for (int col = 0; col < 4; ++col) {
+      tail[col] = std::fma(arow[kk], b4[static_cast<std::size_t>(col) * k + kk], tail[col]);
+    }
+  }
+  const __m256d sum = _mm256_add_pd(_mm256_add_pd(lane_sums(acc0), lane_sums(acc1)),
+                                    _mm256_load_pd(tail));
+  _mm256_storeu_pd(c, sum);
+}
+
 }  // namespace
 
 EDGESLICE_AVX2 void gemm_nn_avx2(const double* a, const double* b, double* c,
@@ -251,36 +337,14 @@ EDGESLICE_AVX2 void gemm_at_avx2(const double* a, const double* b, double* c,
 
 EDGESLICE_AVX2 void gemm_bt_avx2(const double* a, const double* b, double* c,
                                  std::size_t m, std::size_t k, std::size_t n) {
-  // c(i, j) = <row_i(a), row_j(b)>: two interleaved 4-lane partials over
-  // ascending k, an fma scalar tail, then one fixed-order combine. The
-  // value depends only on the two rows and k — never on m, n or position.
+  // c(i, j) = <row_i(a), row_j(b)>, four columns per pass (bt_x4), then
+  // single columns (bt_x1): the same per-element order either way.
   for (std::size_t i = 0; i < m; ++i) {
     const double* arow = a + i * k;
     double* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double* brow = b + j * k;
-      __m256d acc0 = _mm256_setzero_pd();
-      __m256d acc1 = _mm256_setzero_pd();
-      std::size_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk),
-                               _mm256_loadu_pd(brow + kk), acc0);
-        acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk + 4),
-                               _mm256_loadu_pd(brow + kk + 4), acc1);
-      }
-      for (; kk + 4 <= k; kk += 4) {
-        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(arow + kk),
-                               _mm256_loadu_pd(brow + kk), acc0);
-      }
-      double tail = 0.0;
-      for (; kk < k; ++kk) tail = std::fma(arow[kk], brow[kk], tail);
-      alignas(32) double l0[4];
-      alignas(32) double l1[4];
-      _mm256_store_pd(l0, acc0);
-      _mm256_store_pd(l1, acc1);
-      crow[j] = ((l0[0] + l0[1]) + (l0[2] + l0[3])) +
-                ((l1[0] + l1[1]) + (l1[2] + l1[3])) + tail;
-    }
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) bt_x4(arow, b + j * k, k, crow + j);
+    for (; j < n; ++j) crow[j] = bt_x1(arow, b + j * k, k);
   }
 }
 

@@ -163,12 +163,6 @@ Matrix& Matrix::operator*=(double s) {
   return *this;
 }
 
-Matrix& Matrix::hadamard_assign(const Matrix& other) {
-  check_same_shape(other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
 Matrix Matrix::add_row_broadcast(const Matrix& bias) const {
   Matrix out = *this;
   out.add_row_broadcast_assign(bias);

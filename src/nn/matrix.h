@@ -87,9 +87,6 @@ class Matrix {
   Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double s);
 
-  /// In-place Hadamard product: this ⊙= other.
-  Matrix& hadamard_assign(const Matrix& other);
-
   /// Add a 1xC row vector to every row (broadcast bias add).
   Matrix add_row_broadcast(const Matrix& bias) const;
 

@@ -90,9 +90,9 @@ Mlp::Mlp(const std::vector<std::size_t>& sizes, Activation hidden, Activation ou
 }
 
 Matrix Mlp::forward(const Matrix& x) {
-  Matrix h = x;
-  for (auto& layer : layers_) h = layer.forward(h);
-  return h;
+  const Matrix* h = &x;
+  for (auto& layer : layers_) h = &layer.forward(*h);
+  return *h;
 }
 
 Matrix Mlp::infer(const Matrix& x) const {
@@ -117,10 +117,17 @@ std::vector<double> Mlp::infer_vector(const std::vector<double>& x) const {
   return std::move(out.data());
 }
 
-Matrix Mlp::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = it->backward(g);
-  return g;
+Matrix Mlp::backward(const Matrix& grad_out, Backprop pass) {
+  // Every layer above the first hands its dL/dX down; only the first
+  // layer's is the caller's to keep or skip.
+  const Backprop upper = pass == Backprop::Input ? Backprop::Input : Backprop::Full;
+  Matrix g;
+  const Matrix* upstream = &grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i].backward(*upstream, upper);
+    upstream = &g;
+  }
+  return layers_.front().backward(*upstream, pass);
 }
 
 void Mlp::zero_grad() {

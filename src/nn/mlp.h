@@ -37,9 +37,13 @@ class Mlp {
   /// Dense::infer_into per layer.
   const Matrix& infer_into(const Matrix& x, std::vector<Matrix>& workspace) const;
 
-  /// Backprop dL/dOutput through the whole stack; accumulates parameter
-  /// gradients and returns dL/dInput.
-  Matrix backward(const Matrix& grad_out);
+  /// Backprop dL/dOutput through the whole stack from the last
+  /// forward(), computing what `pass` asks for (nn/dense.h Backprop):
+  /// Full accumulates every parameter gradient and returns dL/dInput;
+  /// Parameters skips the first layer's dL/dInput and returns an empty
+  /// matrix; Input returns dL/dInput and leaves every parameter gradient
+  /// untouched.
+  Matrix backward(const Matrix& grad_out, Backprop pass = Backprop::Full);
 
   void zero_grad();
 

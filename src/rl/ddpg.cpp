@@ -123,7 +123,7 @@ void Ddpg::train_batch() {
     critic_grad(i, 0) = 2.0 * err / static_cast<double>(batch);
   }
   last_critic_loss_ = loss / static_cast<double>(batch);
-  critic_.backward(critic_grad);
+  critic_.backward(critic_grad, nn::Backprop::Parameters);
   critic_optimizer_.step();
 
   // --- Actor update: ascend E[Q(s, mu(s))] via the chain rule (Eq. 18).
@@ -136,9 +136,8 @@ void Ddpg::train_batch() {
   last_actor_objective_ = q_of_mu.total() / static_cast<double>(batch);
   // d(-J)/dQ = -1/B for each sample (gradient *descent* on -J).
   nn::Matrix minus_one(batch, 1, -1.0 / static_cast<double>(batch));
-  const nn::Matrix input_grad = critic_.backward(minus_one);
-  // Keep the critic clean: its gradients from this pass are not applied.
-  critic_.zero_grad();
+  // Only dL/d(s, a) is wanted: the critic is not updated by this pass.
+  const nn::Matrix input_grad = critic_.backward(minus_one, nn::Backprop::Input);
   nn::Matrix action_grad =
       input_grad.slice_columns(config_.base.state_dim,
                                config_.base.state_dim + config_.base.action_dim);
@@ -153,7 +152,7 @@ void Ddpg::train_batch() {
       }
     }
   }
-  actor_.backward(action_grad);
+  actor_.backward(action_grad, nn::Backprop::Parameters);
   actor_optimizer_.step();
 
   // --- Target networks track slowly.

@@ -91,7 +91,7 @@ void GaussianPolicy::accumulate_logprob_gradient(const nn::Matrix& states,
       log_std_grad_(0, k) += coefficients[b] * (diff * diff / (sigma * sigma) - 1.0);
     }
   }
-  mean_net_.backward(mean_grad);
+  mean_net_.backward(mean_grad, nn::Backprop::Parameters);
 }
 
 void GaussianPolicy::add_log_std_gradient(const std::vector<double>& grad) {
@@ -151,7 +151,7 @@ void GaussianPolicy::accumulate_kl_gradient(const nn::Matrix& old_means,
       log_std_grad_(0, k) += inv_n * (1.0 - (var_old + dmu * dmu) / var_new);
     }
   }
-  mean_net_.backward(mean_grad);
+  mean_net_.backward(mean_grad, nn::Backprop::Parameters);
 }
 
 void GaussianPolicy::attach_to(nn::Adam& optimizer) {

@@ -84,7 +84,7 @@ void Ppo::update(const std::vector<double>& last_next_state, bool last_done) {
       for (std::size_t b = 0; b < m; ++b) {
         v_grad(b, 0) = 2.0 * (v(b, 0) - rollout_.returns()[idx[b]]) / static_cast<double>(m);
       }
-      value_net_.backward(v_grad);
+      value_net_.backward(v_grad, nn::Backprop::Parameters);
       value_optimizer_.step();
     }
   }

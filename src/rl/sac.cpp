@@ -75,7 +75,7 @@ void Sac::train_batch() {
     for (std::size_t i = 0; i < batch; ++i) {
       grad(i, 0) = 2.0 * (q(i, 0) - targets[i]) / static_cast<double>(batch);
     }
-    pair->backward(grad);
+    pair->backward(grad, nn::Backprop::Parameters);
   }
   q1_optimizer_.step();
   q2_optimizer_.step();
@@ -94,15 +94,15 @@ void Sac::train_batch() {
   }
   q1_.forward(nn::hconcat(b.states, sampled));
   nn::Matrix minus_one(batch, 1, -1.0 / static_cast<double>(batch));
-  const nn::Matrix input_grad = q1_.backward(minus_one);
-  q1_.zero_grad();  // critic gradients from this pass are not applied
+  // Only dL/d(s, a) is wanted: the critic is not updated by this pass.
+  const nn::Matrix input_grad = q1_.backward(minus_one, nn::Backprop::Input);
   const nn::Matrix action_grad =
       input_grad.slice_columns(config_.base.state_dim, config_.base.state_dim + action_dim);
 
   // d a~/d mu = 1 (straight-through on the clip), so mean gradient is the
   // action gradient; log-std picks up the reparameterized chain plus the
   // entropy term d(alpha * logp)/d log_std = -alpha.
-  policy_.mean_net().backward(action_grad);
+  policy_.mean_net().backward(action_grad, nn::Backprop::Parameters);
   std::vector<double> log_std_grad(action_dim, -config_.alpha);
   for (std::size_t i = 0; i < batch; ++i) {
     for (std::size_t k = 0; k < action_dim; ++k) {

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+
+#include "bit_identity.h"
+#include "common/rng.h"
 
 namespace edgeslice::nn {
 namespace {
+
+using test_support::same_bits;
 
 class ActivationGradientTest : public ::testing::TestWithParam<Activation> {};
 
@@ -59,6 +65,38 @@ TEST(Activations, MatrixFormMatchesScalar) {
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_DOUBLE_EQ(y(0, c), activate(z(0, c), Activation::Sigmoid));
   }
+}
+
+// The fused backward product against its definition, activate_grad(z, a)
+// * g per element, on every pairing of ActivateAssignTest's special
+// values (+-0, +-NaN, +-inf, subnormals) for z and g, plus normals.
+TEST_P(ActivationGradientTest, FusedProductBitIdenticalToGradTimesUpstream) {
+  const Activation a = GetParam();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, 0.0, nan, -nan, inf, -inf, -2.5, 3.0, 1e-310, -1e-310};
+  constexpr std::size_t kSpecials = std::size(specials);
+  Rng rng(23);
+  Matrix z(kSpecials + 3, kSpecials);
+  Matrix g(kSpecials + 3, kSpecials);
+  for (std::size_t r = 0; r < z.rows(); ++r) {
+    for (std::size_t c = 0; c < z.cols(); ++c) {
+      z(r, c) = r < kSpecials ? specials[r] : rng.normal();
+      g(r, c) = specials[c];
+    }
+  }
+  const Matrix cache = grad_reads_pre_activation(a) ? z : activate(z, a);
+  Matrix out;
+  activate_grad_product(cache, g, a, out);
+  ASSERT_EQ(out.rows(), z.rows());
+  ASSERT_EQ(out.cols(), z.cols());
+  for (std::size_t e = 0; e < z.size(); ++e) {
+    const double expected = activate_grad(z.data()[e], a) * g.data()[e];
+    EXPECT_TRUE(same_bits(out.data()[e], expected))
+        << activation_name(a) << " z=" << z.data()[e] << " g=" << g.data()[e] << ": "
+        << out.data()[e] << " vs " << expected;
+  }
+  EXPECT_THROW(activate_grad_product(cache, Matrix(1, 1), a, out), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,10 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "bit_identity.h"
 #include "common/rng.h"
 
 namespace edgeslice::nn {
 namespace {
+
+constexpr Activation kAllActivations[] = {Activation::Identity, Activation::Relu,
+                                          Activation::LeakyRelu, Activation::Tanh,
+                                          Activation::Sigmoid,  Activation::Softplus};
+
+using test_support::backends;
+using test_support::PinnedBackend;
+using test_support::same_bits;
+
+void expect_same_bits(const Matrix& actual, const Matrix& expected, const char* what) {
+  ASSERT_EQ(actual.rows(), expected.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  for (std::size_t e = 0; e < actual.size(); ++e) {
+    EXPECT_TRUE(same_bits(actual.data()[e], expected.data()[e]))
+        << what << " element " << e << ": " << actual.data()[e] << " vs "
+        << expected.data()[e];
+  }
+}
+
+/// Upstream gradient with +0.0, -0.0 and a NaN among normals.
+Matrix upstream_gradient(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix g(rows, cols);
+  for (auto& v : g.data()) v = rng.normal();
+  g.data()[0] = 0.0;
+  g.data()[1] = -0.0;
+  g.data()[2] = std::numeric_limits<double>::quiet_NaN();
+  return g;
+}
 
 TEST(Dense, ForwardShape) {
   Rng rng(1);
@@ -96,6 +128,64 @@ TEST(Dense, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_DOUBLE_EQ(layer.weight_grad()(0, 0), 2.0 * once);
   layer.zero_grad();
   EXPECT_DOUBLE_EQ(layer.weight_grad()(0, 0), 0.0);
+}
+
+// Full, Parameters and Input passes against the pre-fusion formulas:
+// Z = X W + b, dZ = activate_grad(Z) * dY per element, dW = X^T dZ,
+// db = column sums of dZ, dX = dZ W^T. Each pass computes its part of
+// that bit for bit and leaves the rest alone, under every backend.
+TEST(Dense, BackwardPassesComputeOnlyWhatTheyAskForBitForBit) {
+  for (const GemmBackend backend : backends()) {
+    const PinnedBackend pin(backend);
+    for (const Activation activation : kAllActivations) {
+      SCOPED_TRACE(std::string(gemm_backend_name(backend)) + " " +
+                   activation_name(activation));
+      Rng rng(11);
+      Dense layer(5, 7, activation, rng);
+      for (auto& b : layer.bias().data()) b = rng.normal();
+      Matrix x(6, 5);
+      for (auto& v : x.data()) v = rng.normal();
+      x(1, 1) = -0.0;
+      const Matrix g = upstream_gradient(6, 7, rng);
+
+      Matrix z = x.matmul(layer.weights());
+      z.add_row_broadcast_assign(layer.bias());
+      expect_same_bits(layer.forward(x), activate(z, activation), "forward");
+      Matrix dz(6, 7);
+      for (std::size_t e = 0; e < dz.size(); ++e) {
+        dz.data()[e] = activate_grad(z.data()[e], activation) * g.data()[e];
+      }
+      Matrix weight_grad(5, 7);
+      weight_grad.add_transposed_matmul(x, dz);
+      const Matrix bias_grad = dz.column_sums();
+      const Matrix input_grad = dz.matmul_transposed(layer.weights());
+
+      layer.zero_grad();
+      expect_same_bits(layer.backward(g), input_grad, "full dX");
+      expect_same_bits(layer.weight_grad(), weight_grad, "full dW");
+      expect_same_bits(layer.bias_grad(), bias_grad, "full db");
+
+      layer.zero_grad();
+      EXPECT_TRUE(layer.backward(g, Backprop::Parameters).empty());
+      expect_same_bits(layer.weight_grad(), weight_grad, "parameters dW");
+      expect_same_bits(layer.bias_grad(), bias_grad, "parameters db");
+
+      layer.zero_grad();
+      expect_same_bits(layer.backward(g, Backprop::Input), input_grad, "input dX");
+      expect_same_bits(layer.weight_grad(), Matrix(5, 7), "input dW");
+      expect_same_bits(layer.bias_grad(), Matrix(1, 7), "input db");
+    }
+  }
+}
+
+TEST(Dense, BackwardRejectsAGradientOfTheWrongShape) {
+  for (const Activation activation : kAllActivations) {
+    Rng rng(13);
+    Dense layer(3, 2, activation, rng);
+    layer.forward(Matrix(4, 3, 0.5));
+    EXPECT_THROW(layer.backward(Matrix(4, 3, 1.0)), std::invalid_argument)
+        << activation_name(activation);
+  }
 }
 
 TEST(Dense, InitializationIsSeedDependent) {

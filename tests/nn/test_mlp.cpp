@@ -3,12 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "bit_identity.h"
 #include "common/rng.h"
 
 namespace edgeslice::nn {
 namespace {
+
+using test_support::same_bits;
+
+void expect_same_bits(const std::vector<double>& actual, const std::vector<double>& expected,
+                      const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t e = 0; e < actual.size(); ++e) {
+    EXPECT_TRUE(same_bits(actual[e], expected[e]))
+        << what << " element " << e << ": " << actual[e] << " vs " << expected[e];
+  }
+}
 
 Mlp make_net(Rng& rng) {
   return Mlp({3, 8, 8, 2}, Activation::LeakyRelu, Activation::Identity, rng);
@@ -66,6 +80,52 @@ TEST(Mlp, BackwardMatchesFiniteDifference) {
     const double ld = net.infer(x).total();
     net.set_flat_parameters(theta);
     EXPECT_NEAR(analytic[i], (lu - ld) / (2 * eps), 1e-5) << "param " << i;
+  }
+}
+
+// The three passes through a whole stack, under every backend and every
+// hidden/output activation pair: Parameters leaves Full's parameter
+// gradients bit for bit (skipping only the first layer's dL/dInput), and
+// Input returns Full's dL/dInput with every parameter gradient at zero.
+TEST(Mlp, BackwardPassesMatchTheFullPassBitForBit) {
+  const Activation all[] = {Activation::Identity, Activation::Relu,
+                            Activation::LeakyRelu, Activation::Tanh,
+                            Activation::Sigmoid,  Activation::Softplus};
+  for (const GemmBackend backend : test_support::backends()) {
+    const test_support::PinnedBackend pin(backend);
+    for (const Activation hidden : all) {
+      for (const Activation output : all) {
+        SCOPED_TRACE(std::string(gemm_backend_name(backend)) + " hidden " +
+                     activation_name(hidden) + " output " + activation_name(output));
+        Rng rng(17);
+        Mlp net({6, 9, 8, 5}, hidden, output, rng);
+        Matrix x(7, 6);
+        for (auto& v : x.data()) v = rng.normal();
+        Matrix g(7, 5);
+        for (auto& v : g.data()) v = rng.normal();
+        g(0, 0) = 0.0;
+        g(1, 1) = -0.0;
+        g(2, 2) = std::numeric_limits<double>::quiet_NaN();
+        net.forward(x);
+
+        net.zero_grad();
+        const Matrix full_input = net.backward(g);
+        const std::vector<double> full_params = net.flat_gradients();
+
+        net.zero_grad();
+        EXPECT_TRUE(net.backward(g, Backprop::Parameters).empty());
+        expect_same_bits(net.flat_gradients(), full_params, "parameters pass");
+
+        net.zero_grad();
+        const Matrix input = net.backward(g, Backprop::Input);
+        ASSERT_EQ(input.rows(), full_input.rows());
+        ASSERT_EQ(input.cols(), full_input.cols());
+        expect_same_bits(input.data(), full_input.data(), "input pass");
+        expect_same_bits(net.flat_gradients(),
+                         std::vector<double>(net.parameter_count(), 0.0),
+                         "input pass parameter gradients");
+      }
+    }
   }
 }
 

@@ -3,12 +3,14 @@
 // These quantify the per-operation costs that bound the control loop:
 // a DDPG inference/update, a coordinator ADMM iteration, a MAC-scheduler
 // TTI, an SDN reconfiguration, a GPU simulation tick, and a local
-// linear-model prediction.
+// linear-model prediction, and framing one served decision.
 #include <benchmark/benchmark.h>
 
 #include "common.h"
 #include "core/coordinator.h"
+#include "ipc/frame.h"
 #include "radio/scheduler.h"
+#include "serve/protocol.h"
 #include "transport/transport_manager.h"
 
 using namespace edgeslice;
@@ -238,6 +240,36 @@ void BM_EnvironmentStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvironmentStep);
+
+// One served decision framed for the wire, with a 24-wide action (the
+// city actor's 8 slices x 3 resources). in_place:0 is the stream codec
+// plus encode_frame (an ostringstream, a Frame and two strings per
+// response); in_place:1 is the policy server's append into a reused
+// output buffer. Both produce the same bytes.
+void BM_ServeEncodeResponse(benchmark::State& state) {
+  Rng rng(1);
+  serve::DecideResponsePayload response;
+  response.request_id = 42;
+  response.action = rng.uniforms(24);
+  const bool in_place = state.range(0) == 1;
+  std::string out;
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    if (in_place) {
+      out.clear();
+      serve::append_decide_response_frame(out, seq++, response);
+      benchmark::DoNotOptimize(out.data());
+    } else {
+      ipc::Frame frame;
+      frame.type = ipc::FrameType::DecideResponse;
+      frame.seq = seq++;
+      frame.payload = serve::encode_decide_response(response);
+      benchmark::DoNotOptimize(ipc::encode_frame(frame));
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ServeEncodeResponse)->ArgName("in_place")->Arg(0)->Arg(1);
 
 }  // namespace
 

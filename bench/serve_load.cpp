@@ -237,8 +237,10 @@ LoadResult run_load(const std::string& host, std::uint16_t port,
     const double now = elapsed_seconds(start);
     if (next < config.requests && now >= send_at[next]) {
       serve::ServeClient& client = clients[next % clients.size()];
-      client.send_decide(next, observations[next]);
+      // Stamp before the send: on a shared CPU the send can wake the
+      // server, which may answer before send_decide returns.
       sent_at.emplace(next, elapsed_seconds(start));
+      client.send_decide(next, observations[next]);
       ++result.sent;
       ++next;
       continue;

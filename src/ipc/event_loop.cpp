@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <stdexcept>
+#include <utility>
 
 namespace edgeslice::ipc {
 
@@ -24,24 +25,31 @@ std::uint32_t stored_payload_crc(const char* header) {
 std::vector<Frame> FrameAssembler::feed(const char* data, std::size_t size) {
   buffer_.append(data, size);
   std::vector<Frame> frames;
+  // Frames are parsed at an offset and the consumed prefix dropped once:
+  // erasing per frame would move the rest of a chunk of small frames once
+  // for each of them.
+  std::size_t consumed = 0;
   for (;;) {
-    if (buffer_.size() < kFrameHeaderSize) break;
+    const std::size_t available = buffer_.size() - consumed;
+    if (available < kFrameHeaderSize) break;
+    const char* header = buffer_.data() + consumed;
     Frame frame;
     std::uint64_t payload_len = 0;
-    decode_frame_header(buffer_.data(), frame, payload_len);  // throws
-    if (buffer_.size() < kFrameHeaderSize + payload_len) break;
-    frame.payload = buffer_.substr(kFrameHeaderSize,
+    decode_frame_header(header, frame, payload_len);  // throws
+    if (available - kFrameHeaderSize < payload_len) break;
+    frame.payload = buffer_.substr(consumed + kFrameHeaderSize,
                                    static_cast<std::size_t>(payload_len));
-    verify_frame_payload(stored_payload_crc(buffer_.data()), frame.payload);
+    verify_frame_payload(stored_payload_crc(header), frame.payload);
     if (frame.seq != next_seq_) {
       throw std::runtime_error("ipc frame: seq break (expected " +
                                std::to_string(next_seq_) + ", got " +
                                std::to_string(frame.seq) + ")");
     }
     ++next_seq_;
-    buffer_.erase(0, kFrameHeaderSize + static_cast<std::size_t>(payload_len));
+    consumed += kFrameHeaderSize + static_cast<std::size_t>(payload_len);
     frames.push_back(std::move(frame));
   }
+  buffer_.erase(0, consumed);
   return frames;
 }
 
@@ -93,9 +101,67 @@ PollLoop::Connection* PollLoop::find(int fd) {
   return nullptr;
 }
 
+std::string& PollLoop::output(int fd) {
+  Connection* connection = find(fd);
+  if (connection == nullptr) throw std::invalid_argument("PollLoop: fd not registered");
+  return connection->out;
+}
+
+bool PollLoop::send_output(Connection& c, std::int64_t now, IoResult& reason) {
+  const std::size_t before = c.out_sent;
+  while (c.out_sent < c.out.size()) {
+    const ssize_t n = ::send(c.fd, c.out.data() + c.out_sent, c.unsent(), MSG_NOSIGNAL);
+    if (n > 0) {
+      c.out_sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    reason = n < 0 && (errno == EPIPE || errno == ECONNRESET) ? IoResult::Closed
+                                                               : IoResult::Error;
+    return false;
+  }
+  const bool progressed = c.out_sent != before;
+  if (c.unsent() == 0) {
+    c.out.clear();
+    c.out_sent = 0;
+    c.out_progress_ms = -1;
+    return true;
+  }
+  // Drop the sent prefix only once it is half the buffer: each byte is
+  // then moved at most once on average, not once per partial send.
+  if (c.out_sent >= c.out.size() / 2) {
+    c.out.erase(0, c.out_sent);
+    c.out_sent = 0;
+  }
+  if (progressed || c.out_progress_ms < 0) c.out_progress_ms = now;
+  if (now - c.out_progress_ms >= kSendDeadlineMs) {
+    reason = IoResult::Deadline;  // the peer stopped reading
+    return false;
+  }
+  return true;
+}
+
+void PollLoop::flush() {
+  const std::int64_t now = now_ms();
+  std::vector<std::pair<int, IoResult>> failed;
+  for (Connection& c : connections_) {
+    IoResult reason = IoResult::Ok;
+    if (c.unsent() != 0 && !send_output(c, now, reason)) failed.emplace_back(c.fd, reason);
+  }
+  // Close after the scan: a CloseHandler may add or remove connections.
+  for (const auto& [fd, reason] : failed) {
+    Connection* connection = find(fd);
+    if (connection == nullptr) continue;
+    const CloseHandler on_close = connection->on_close;
+    remove(fd);
+    on_close(fd, reason);
+  }
+}
+
 bool PollLoop::run_until(const std::function<bool()>& done, int deadline_ms) {
   const std::int64_t deadline = now_ms() + deadline_ms;
-  char chunk[65536];
+  char chunk[kReadBudget];
   while (!done()) {
     const std::int64_t remaining = deadline - now_ms();
     if (remaining <= 0) return false;
@@ -107,14 +173,22 @@ bool PollLoop::run_until(const std::function<bool()>& done, int deadline_ms) {
     pfds.reserve(listeners_.size() + connections_.size());
     const std::size_t listener_count = listeners_.size();
     for (const Listener& l : listeners_) pfds.push_back({l.fd, POLLIN, 0});
-    for (const Connection& c : connections_) pfds.push_back({c.fd, POLLIN, 0});
+    for (const Connection& c : connections_) {
+      short events = POLLIN;
+      if (c.unsent() != 0) events |= POLLOUT;
+      if (c.unsent() > kOutputHighWater) events = POLLOUT;  // throttle the peer
+      pfds.push_back({c.fd, events, 0});
+    }
     const int slice = static_cast<int>(remaining > 100 ? 100 : remaining);
     const int ready = ::poll(pfds.data(), pfds.size(), slice);
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error("PollLoop: poll failed");
     }
-    if (ready == 0) continue;
+    if (ready == 0) {
+      flush();  // retries held output; drops peers past their send deadline
+      continue;
+    }
 
     // Listeners first: a freshly accepted connection's first bytes are
     // picked up by the next poll round.
@@ -151,11 +225,14 @@ bool PollLoop::run_until(const std::function<bool()>& done, int deadline_ms) {
       IoResult reason = IoResult::Closed;
       std::vector<Frame> frames;
       if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        // Drain everything available now; EOF/error after data still
-        // delivers the data first.
-        for (;;) {
+        // Drain what is available now, up to kReadBudget: a peer that
+        // writes as fast as it is read cannot hold the loop in this
+        // round, and the rest is picked up by the next one. EOF/error
+        // after data still delivers the data first.
+        for (std::size_t budget = kReadBudget; budget > 0;) {
           const ssize_t n = ::read(pfd.fd, chunk, sizeof(chunk));
           if (n > 0) {
+            budget -= std::min(budget, static_cast<std::size_t>(n));
             try {
               std::vector<Frame> batch =
                   connection->assembler.feed(chunk, static_cast<std::size_t>(n));
@@ -193,6 +270,9 @@ bool PollLoop::run_until(const std::function<bool()>& done, int deadline_ms) {
         on_close(fd, reason);
       }
     }
+    // Whatever the handlers queued leaves in this round, not after the
+    // next poll slice.
+    flush();
   }
   return true;
 }

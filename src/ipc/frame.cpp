@@ -83,19 +83,37 @@ const char* io_result_name(IoResult result) {
 }
 
 std::string encode_frame(const Frame& frame) {
-  std::string out(kFrameHeaderSize + frame.payload.size(), '\0');
-  char* h = out.data();
+  std::string out;
+  out.reserve(kFrameHeaderSize + frame.payload.size());
+  append_frame(out, frame.type, frame.ra, frame.seq, frame.payload);
+  return out;
+}
+
+void append_frame(std::string& out, FrameType type, std::uint32_t ra,
+                  std::uint64_t seq, std::string_view payload) {
+  const std::size_t header_at = begin_frame(out);
+  out.append(payload);
+  finish_frame(out, header_at, type, ra, seq);
+}
+
+std::size_t begin_frame(std::string& out) {
+  const std::size_t header_at = out.size();
+  out.resize(header_at + kFrameHeaderSize);
+  return header_at;
+}
+
+void finish_frame(std::string& out, std::size_t header_at, FrameType type,
+                  std::uint32_t ra, std::uint64_t seq) {
+  char* h = out.data() + header_at;
+  const std::size_t payload_size = out.size() - header_at - kFrameHeaderSize;
   std::memcpy(h, kFrameMagic, 4);
   put_u32(h + 4, kFrameFormatVersion);
-  put_u32(h + 8, static_cast<std::uint32_t>(frame.type));
-  put_u32(h + 12, frame.ra);
-  put_u64(h + 16, frame.seq);
-  put_u64(h + 24, frame.payload.size());
-  put_u32(h + 32, crc32(frame.payload));
+  put_u32(h + 8, static_cast<std::uint32_t>(type));
+  put_u32(h + 12, ra);
+  put_u64(h + 16, seq);
+  put_u64(h + 24, payload_size);
+  put_u32(h + 32, crc32(h + kFrameHeaderSize, payload_size));
   put_u32(h + 36, crc32(h, 36));
-  std::memcpy(out.data() + kFrameHeaderSize, frame.payload.data(),
-              frame.payload.size());
-  return out;
 }
 
 void decode_frame_header(const char* bytes, Frame& out, std::uint64_t& payload_len) {

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace edgeslice::ipc {
 
@@ -84,6 +85,19 @@ struct Frame {
 
 /// Encode header + payload into one contiguous buffer.
 std::string encode_frame(const Frame& frame);
+
+/// Append header + payload to `out`: the bytes encode_frame returns, with
+/// no Frame or temporary string (output buffers that batch many frames).
+void append_frame(std::string& out, FrameType type, std::uint32_t ra,
+                  std::uint64_t seq, std::string_view payload);
+
+/// Two-step append for encoders that write the payload straight into
+/// `out`: begin_frame appends a blank header and returns its offset;
+/// after the payload bytes are appended, finish_frame fills the header
+/// (length and both CRCs) over everything after it.
+std::size_t begin_frame(std::string& out);
+void finish_frame(std::string& out, std::size_t header_at, FrameType type,
+                  std::uint32_t ra, std::uint64_t seq);
 
 /// Decode and fully validate a frame header (40 bytes). Returns the
 /// declared payload length via `payload_len`. Throws std::runtime_error

@@ -1,9 +1,11 @@
 #include "serve/protocol.h"
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/binio.h"
+#include "ipc/frame.h"
 
 namespace edgeslice::serve {
 
@@ -15,6 +17,12 @@ void require_exhausted(std::istream& in, const char* context) {
   if (in.peek() != std::istream::traits_type::eof()) {
     throw std::runtime_error(std::string(context) + ": trailing bytes");
   }
+}
+
+/// Little-endian store of the low `bytes` bytes of `v` (binio's layout).
+char* put_le(char* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  return p + bytes;
 }
 
 }  // namespace
@@ -51,6 +59,24 @@ std::string encode_decide_response(const DecideResponsePayload& payload) {
   write_u32(out, payload.status);
   write_f64_vector(out, payload.action);
   return out.str();
+}
+
+void append_decide_response_frame(std::string& out, std::uint64_t seq,
+                                  const DecideResponsePayload& payload) {
+  const std::size_t header_at = ipc::begin_frame(out);
+  const std::size_t payload_at = out.size();
+  out.resize(payload_at + 8 + 4 + 8 + 8 * payload.action.size());
+  char* p = out.data() + payload_at;
+  p = put_le(p, payload.request_id, 8);
+  p = put_le(p, payload.status, 4);
+  p = put_le(p, payload.action.size(), 8);
+  for (double x : payload.action) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof(bits));
+    p = put_le(p, bits, 8);
+  }
+  ipc::finish_frame(out, header_at, ipc::FrameType::DecideResponse,
+                    ipc::kConnectionScope, seq);
 }
 
 DecideResponsePayload decode_decide_response(const std::string& bytes) {

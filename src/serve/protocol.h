@@ -71,6 +71,13 @@ DecideRequestPayload decode_decide_request(const std::string& bytes);
 std::string encode_decide_response(const DecideResponsePayload& payload);
 DecideResponsePayload decode_decide_response(const std::string& bytes);
 
+/// Append one connection-scoped DecideResponse frame with sequence `seq`
+/// to `out`, header and payload written in place: the bytes of
+/// ipc::encode_frame over encode_decide_response(payload), with no
+/// Frame, string or stream per response (the server's output path).
+void append_decide_response_frame(std::string& out, std::uint64_t seq,
+                                  const DecideResponsePayload& payload);
+
 std::string encode_serve_status(const ServeStatusPayload& payload);
 ServeStatusPayload decode_serve_status(const std::string& bytes);
 

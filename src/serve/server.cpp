@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -10,7 +11,7 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,82 +109,93 @@ ServeCounters PolicyServer::counters() const {
 }
 
 void PolicyServer::serve_loop() {
-  // One pending decision: who asked, what they asked, when it entered
-  // the queue (the decision-latency clock starts at admission).
+  // One pending decision: which connection asked (by serial, never by fd:
+  // a departed client's fd number can be reused by a later connection),
+  // what it asked, when it entered the queue (the decision-latency clock
+  // starts at admission).
   struct Pending {
-    int fd = -1;
+    std::uint64_t connection = 0;
     std::uint64_t request_id = 0;
     std::vector<double> observation;
     std::chrono::steady_clock::time_point enqueued;
   };
   struct Client {
+    int fd = -1;
     std::uint64_t out_seq = 0;
   };
 
   ipc::PollLoop loop;
-  std::map<int, Client> clients;
+  std::unordered_map<std::uint64_t, Client> clients;  // by connection serial
+  std::uint64_t next_connection = 0;
   std::deque<Pending> queue;
   rl::BatchedActor actor(policy_);
-  MetricsRegistry& metrics = global_metrics();
-  ipc::SendOptions send_options;
-  send_options.deadline_ms = 2000;  // a stalled client costs 2 s, not the plane
+  DecideResponsePayload decision;  // reused: its action buffer stops allocating
 
-  const auto close_client = [&](int fd) {
-    clients.erase(fd);
+  // Every serve.* series resolved once; recording is then one atomic
+  // (or, for histograms, one mutex) per event, not a by-name lookup.
+  MetricsRegistry& metrics = global_metrics();
+  Counter& requests_total = metrics.counter("serve.requests");
+  Counter& bad_request_total = metrics.counter("serve.bad_request");
+  Counter& shed_total = metrics.counter("serve.shed");
+  Counter& decisions_total = metrics.counter("serve.decisions");
+  Counter& ticks_total = metrics.counter("serve.ticks");
+  Counter& accepted_total = metrics.counter("serve.accepted");
+  Counter& protocol_errors_total = metrics.counter("serve.protocol_errors");
+  Gauge& connections_gauge = metrics.gauge("serve.connections");
+  Gauge& queue_depth_gauge = metrics.gauge("serve.queue_depth");
+  Histogram& decision_seconds = metrics.histogram("serve.decision_seconds");
+  Histogram& batch_rows = metrics.histogram("serve.batch_rows");
+
+  const auto close_client = [&](std::uint64_t connection) {
+    const auto it = clients.find(connection);
+    if (it == clients.end()) return;
+    const int fd = it->second.fd;
+    clients.erase(it);
     if (loop.has(fd)) loop.remove(fd);
     ::close(fd);
-    metrics.gauge("serve.connections").set(static_cast<double>(clients.size()));
+    connections_gauge.set(static_cast<double>(clients.size()));
   };
 
-  // Send one frame; on failure the client is gone — tear it down (its
-  // queued requests are dropped at response time).
-  const auto send_frame = [&](int fd, ipc::FrameType type, std::string payload) {
-    auto it = clients.find(fd);
-    if (it == clients.end()) return;
-    ipc::Frame frame;
-    frame.type = type;
-    frame.ra = ipc::kConnectionScope;
-    frame.seq = it->second.out_seq++;
-    frame.payload = std::move(payload);
-    if (ipc::write_frame(fd, frame, send_options) != ipc::IoResult::Ok) {
-      close_client(fd);
-    }
+  // Outgoing frames are appended to the connection's output buffer in seq
+  // order; the loop's flush sends them (after each tick, and at the end of
+  // every poll round that queued any). The loop stops reading a client
+  // whose unsent answers pass PollLoop::kOutputHighWater and drops one
+  // whose answers make no progress for PollLoop::kSendDeadlineMs.
+  const auto queue_frame = [&](Client& client, ipc::FrameType type,
+                               const std::string& payload) {
+    ipc::append_frame(loop.output(client.fd), type, ipc::kConnectionScope,
+                      client.out_seq++, payload);
+  };
+  const auto answer = [&](Client& client, const DecideResponsePayload& response) {
+    append_decide_response_frame(loop.output(client.fd), client.out_seq++, response);
   };
 
-  const auto answer = [&](int fd, std::uint64_t request_id, std::uint32_t status,
-                          std::vector<double> action = {}) {
-    DecideResponsePayload response;
-    response.request_id = request_id;
-    response.status = status;
-    response.action = std::move(action);
-    send_frame(fd, ipc::FrameType::DecideResponse, encode_decide_response(response));
-  };
-
-  const auto handle_frame = [&](int fd, ipc::Frame&& frame) {
+  const auto handle_frame = [&](std::uint64_t connection, Client& client,
+                                ipc::Frame&& frame) {
     switch (frame.type) {
       case ipc::FrameType::DecideRequest: {
         DecideRequestPayload request = decode_decide_request(frame.payload);
         requests_.fetch_add(1, std::memory_order_relaxed);
-        metrics.counter("serve.requests").add();
+        requests_total.add();
         if (request.observation.size() != policy_.in_dim()) {
           rejected_.fetch_add(1, std::memory_order_relaxed);
-          metrics.counter("serve.bad_request").add();
-          answer(fd, request.request_id, kDecideBadRequest);
+          bad_request_total.add();
+          answer(client, {request.request_id, kDecideBadRequest, {}});
           break;
         }
         if (queue.size() >= config_.queue_limit) {
           shed_.fetch_add(1, std::memory_order_relaxed);
-          metrics.counter("serve.shed").add();
-          answer(fd, request.request_id, kDecideShed);
+          shed_total.add();
+          answer(client, {request.request_id, kDecideShed, {}});
           break;
         }
         Pending pending;
-        pending.fd = fd;
+        pending.connection = connection;
         pending.request_id = request.request_id;
         pending.observation = std::move(request.observation);
         pending.enqueued = std::chrono::steady_clock::now();
         queue.push_back(std::move(pending));
-        metrics.gauge("serve.queue_depth").set(static_cast<double>(queue.size()));
+        queue_depth_gauge.set(static_cast<double>(queue.size()));
         break;
       }
       case ipc::FrameType::ServeStatus: {
@@ -197,14 +209,13 @@ void PolicyServer::serve_loop() {
         status.decided = decided_.load(std::memory_order_relaxed);
         status.shed = shed_.load(std::memory_order_relaxed);
         status.rejected = rejected_.load(std::memory_order_relaxed);
-        const Histogram& latency = metrics.histogram("serve.decision_seconds");
-        status.p50_decision_seconds = latency.quantile(0.5);
-        status.p99_decision_seconds = latency.quantile(0.99);
-        send_frame(fd, ipc::FrameType::ServeStatus, encode_serve_status(status));
+        status.p50_decision_seconds = decision_seconds.quantile(0.5);
+        status.p99_decision_seconds = decision_seconds.quantile(0.99);
+        queue_frame(client, ipc::FrameType::ServeStatus, encode_serve_status(status));
         break;
       }
       case ipc::FrameType::Ping:
-        send_frame(fd, ipc::FrameType::Pong, std::string(frame.payload));
+        queue_frame(client, ipc::FrameType::Pong, frame.payload);
         break;
       default:
         // Clients have no business sending anything else.
@@ -214,32 +225,36 @@ void PolicyServer::serve_loop() {
   };
 
   loop.add_listener(listen_fd_, [&](int fd) {
+    // Responses are small and latency-bound, and each tick's answers to a
+    // connection already leave in one write: Nagle would only hold them
+    // until the client's delayed ACK (DESIGN.md Sec. 15, "Output path").
+    int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("serve.accepted").add();
-    clients.emplace(fd, Client{});
-    metrics.gauge("serve.connections").set(static_cast<double>(clients.size()));
+    accepted_total.add();
+    const std::uint64_t connection = next_connection++;
+    clients.emplace(connection, Client{fd, 0});
+    connections_gauge.set(static_cast<double>(clients.size()));
     loop.add(
         fd,
-        [&](int client_fd, ipc::Frame&& frame) {
+        [&, connection](int, ipc::Frame&& frame) {
           // A frame that parses as a frame but not as a serve payload is
           // a protocol violation: tear down this connection only.
           try {
-            handle_frame(client_fd, std::move(frame));
+            handle_frame(connection, clients.at(connection), std::move(frame));
           } catch (const std::exception& error) {
             protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-            metrics.counter("serve.protocol_errors").add();
+            protocol_errors_total.add();
             ES_LOG(Warn) << "serve: " << error.what();
-            close_client(client_fd);
+            close_client(connection);
           }
         },
-        [&](int client_fd, ipc::IoResult reason) {
+        [&, connection](int, ipc::IoResult reason) {
           if (reason == ipc::IoResult::Error) {
             protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-            metrics.counter("serve.protocol_errors").add();
+            protocol_errors_total.add();
           }
-          clients.erase(client_fd);
-          ::close(client_fd);
-          metrics.gauge("serve.connections").set(static_cast<double>(clients.size()));
+          close_client(connection);
         });
   });
 
@@ -263,27 +278,34 @@ void PolicyServer::serve_loop() {
       span.stop();
     }
     ticks_.fetch_add(1, std::memory_order_relaxed);
-    metrics.counter("serve.ticks").add();
-    metrics.histogram("serve.batch_rows").observe(static_cast<double>(rows));
+    ticks_total.add();
+    batch_rows.observe(static_cast<double>(rows));
     for (std::size_t row = 0; row < rows; ++row) {
-      Pending& pending = queue[row];
-      if (clients.find(pending.fd) == clients.end()) continue;  // client left
+      const Pending& pending = queue[row];
+      const auto client = clients.find(pending.connection);
+      if (client == clients.end()) continue;  // client left
       // Count before the response leaves: a client that has its answer
       // must never read a ServeStatus/counters() that predates it.
       decided_.fetch_add(1, std::memory_order_relaxed);
-      metrics.counter("serve.decisions").add();
-      metrics.histogram("serve.decision_seconds").observe(seconds_since(pending.enqueued));
-      answer(pending.fd, pending.request_id, kDecideOk, actor.action(row));
+      decisions_total.add();
+      decision_seconds.observe(seconds_since(pending.enqueued));
+      decision.request_id = pending.request_id;
+      decision.status = kDecideOk;
+      actor.action_into(row, decision.action);
+      answer(client->second, decision);
     }
     queue.erase(queue.begin(), queue.begin() + static_cast<std::ptrdiff_t>(rows));
-    metrics.gauge("serve.queue_depth").set(static_cast<double>(queue.size()));
+    queue_depth_gauge.set(static_cast<double>(queue.size()));
+    // One write per connection for the whole tick's answers.
+    loop.flush();
   }
 
   loop.remove_listener(listen_fd_);
-  std::vector<int> open;
+  loop.flush();  // answers already decided leave if their sockets take them
+  std::vector<std::uint64_t> open;
   open.reserve(clients.size());
-  for (const auto& [fd, client] : clients) open.push_back(fd);
-  for (int fd : open) close_client(fd);
+  for (const auto& [connection, client] : clients) open.push_back(connection);
+  for (std::uint64_t connection : open) close_client(connection);
 }
 
 }  // namespace edgeslice::serve

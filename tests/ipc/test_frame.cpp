@@ -5,7 +5,10 @@
 // surfaced, corruption tears the connection down instead of being parsed
 // past, and the fd helpers survive partial transfers, full socket
 // buffers (bounded backoff, then a Deadline verdict) and dead peers
-// (Closed, never SIGPIPE).
+// (Closed, never SIGPIPE). PollLoop's per-connection output buffers send
+// in append order without blocking, stop reading a peer whose unsent
+// output passes the high-water mark, and drop a peer that stops reading
+// after the send deadline.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -13,6 +16,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,6 +137,26 @@ TEST(FrameAssembler, ReassemblesByteByByteDelivery) {
   EXPECT_EQ(assembler.pending_bytes(), 0u);
 }
 
+TEST(FrameAssembler, KeepsAPartialFrameAfterWholeOnesInOneChunk) {
+  const std::string third = encode_frame(make_frame(FrameType::Pong, 2, "third body"));
+  const std::string chunk = encode_frame(make_frame(FrameType::Ping, 0, "a")) +
+                            encode_frame(make_frame(FrameType::Ping, 1, "")) +
+                            third.substr(0, kFrameHeaderSize + 3);
+  FrameAssembler assembler;
+  const std::vector<Frame> whole = assembler.feed(chunk.data(), chunk.size());
+  ASSERT_EQ(whole.size(), 2u);
+  EXPECT_EQ(whole[0].payload, "a");
+  EXPECT_EQ(whole[1].seq, 1u);
+  EXPECT_EQ(assembler.pending_bytes(), kFrameHeaderSize + 3);
+
+  const std::string rest = third.substr(kFrameHeaderSize + 3);
+  const std::vector<Frame> last = assembler.feed(rest.data(), rest.size());
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0].seq, 2u);
+  EXPECT_EQ(last[0].payload, "third body");
+  EXPECT_EQ(assembler.pending_bytes(), 0u);
+}
+
 TEST(FrameAssembler, SequenceBreakTearsTheConnectionDown) {
   FrameAssembler assembler;
   const std::string ok = encode_frame(make_frame(FrameType::Ping, 0, ""));
@@ -232,6 +256,117 @@ TEST(FrameIo, WriteToDeadPeerIsClosedNotSigpipe) {
     result = write_frame(pair.fds[0], second);
   }
   EXPECT_EQ(result, IoResult::Closed);
+}
+
+// ---- PollLoop output buffers ---------------------------------------------
+
+void set_nonblocking(int fd) {
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+}
+
+TEST(PollLoopOutput, FlushSendsQueuedFramesInAppendOrder) {
+  SocketPair pair;
+  set_nonblocking(pair.fds[0]);
+  PollLoop loop;
+  loop.add(pair.fds[0], [](int, Frame&&) {}, [](int, IoResult) {});
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    append_frame(loop.output(pair.fds[0]), FrameType::Pong, kConnectionScope, seq,
+                 "pong " + std::to_string(seq));
+  }
+  loop.flush();
+  EXPECT_TRUE(loop.output(pair.fds[0]).empty());
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    Frame got;
+    ASSERT_EQ(read_frame(pair.fds[1], got, 1000), IoResult::Ok);
+    EXPECT_EQ(got.seq, seq);
+    EXPECT_EQ(got.payload, "pong " + std::to_string(seq));
+  }
+  EXPECT_THROW(loop.output(pair.fds[1]), std::invalid_argument);
+}
+
+TEST(PollLoopOutput, StalledPeerIsClosedWithDeadlineWithoutBlocking) {
+  SocketPair pair;
+  set_nonblocking(pair.fds[0]);
+  PollLoop loop;
+  std::optional<IoResult> closed;
+  loop.add(pair.fds[0], [](int, Frame&&) {}, [&](int, IoResult reason) { closed = reason; });
+  // Far more than the socketpair buffers hold, and nobody reads fds[1].
+  append_frame(loop.output(pair.fds[0]), FrameType::EnvState, kConnectionScope, 0,
+               std::string(8 << 20, 's'));
+  const std::int64_t start = now_ms();
+  loop.flush();
+  ASSERT_FALSE(closed.has_value());
+  EXPECT_FALSE(loop.output(pair.fds[0]).empty());
+  // The loop's own idle rounds retry the held bytes and enforce the
+  // deadline; flush() never blocks on the full socket.
+  EXPECT_TRUE(loop.run_until([&] { return closed.has_value(); },
+                             PollLoop::kSendDeadlineMs + 3000));
+  EXPECT_EQ(*closed, IoResult::Deadline);
+  EXPECT_FALSE(loop.has(pair.fds[0]));
+  EXPECT_GE(now_ms() - start, PollLoop::kSendDeadlineMs);
+}
+
+TEST(PollLoopOutput, PeerAboveHighWaterIsNotReadUntilItDrains) {
+  SocketPair pair;
+  set_nonblocking(pair.fds[0]);
+  set_nonblocking(pair.fds[1]);
+  const int fd = pair.fds[0];
+  PollLoop loop;
+  std::uint64_t handled = 0;
+  std::uint64_t out_seq = 0;
+  const std::string answer(64 << 10, 'a');
+  std::optional<IoResult> closed;
+  loop.add(
+      fd,
+      [&](int, Frame&&) {
+        ++handled;
+        append_frame(loop.output(fd), FrameType::Pong, kConnectionScope, out_seq++, answer);
+      },
+      [&](int, IoResult reason) { closed = reason; });
+
+  // Twice the high-water mark in answers: past it even after the socket
+  // buffers take their share.
+  const std::uint64_t burst = 2 * PollLoop::kOutputHighWater / answer.size();
+  for (std::uint64_t seq = 0; seq < burst; ++seq) {
+    ASSERT_EQ(write_frame(pair.fds[1], make_frame(FrameType::Ping, seq, "q")), IoResult::Ok);
+  }
+  ASSERT_TRUE(loop.run_until([&] { return handled == burst; }, 1000));
+
+  // While the peer reads nothing, its next request stays unread.
+  ASSERT_EQ(write_frame(pair.fds[1], make_frame(FrameType::Ping, burst, "q")), IoResult::Ok);
+  EXPECT_FALSE(loop.run_until([&] { return handled > burst; }, 200));
+  EXPECT_EQ(handled, burst);
+
+  // Once the peer drains, the loop reads and answers it.
+  FrameAssembler assembler;
+  std::uint64_t received = 0;
+  char chunk[65536];
+  const std::int64_t give_up = now_ms() + 5000;
+  while (received < burst + 1 && now_ms() < give_up) {
+    ssize_t n = 0;
+    while ((n = ::read(pair.fds[1], chunk, sizeof(chunk))) > 0) {
+      received += assembler.feed(chunk, static_cast<std::size_t>(n)).size();
+    }
+    loop.run_until([] { return false; }, 1);
+  }
+  EXPECT_EQ(received, burst + 1);
+  EXPECT_EQ(handled, burst + 1);
+  EXPECT_FALSE(closed.has_value());
+  EXPECT_TRUE(loop.has(fd));
+}
+
+TEST(PollLoopOutput, OutputToDeadPeerClosesTheConnection) {
+  SocketPair pair;
+  set_nonblocking(pair.fds[0]);
+  pair.close_reader();
+  PollLoop loop;
+  std::optional<IoResult> closed;
+  loop.add(pair.fds[0], [](int, Frame&&) {}, [&](int, IoResult reason) { closed = reason; });
+  append_frame(loop.output(pair.fds[0]), FrameType::Ping, kConnectionScope, 0, "x");
+  loop.flush();  // EPIPE, never SIGPIPE
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_EQ(*closed, IoResult::Closed);
+  EXPECT_FALSE(loop.has(pair.fds[0]));
 }
 
 // ---- payload codecs -------------------------------------------------------

@@ -3,16 +3,23 @@
 // The contract under test (FORMATS.md "Serve payloads"): every payload
 // round-trips exactly (doubles as IEEE-754 bit patterns), truncation at
 // any field throws a context-naming runtime_error instead of misparsing,
-// trailing bytes throw (serve payloads are closed records), and hostile
-// vector length prefixes are rejected before allocation.
+// trailing bytes throw (serve payloads are closed records), hostile
+// vector length prefixes are rejected before allocation, and the
+// server's in-place DecideResponse frame encoder writes exactly the bytes
+// of the reference encoders.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/binio.h"
+#include "ipc/event_loop.h"
+#include "ipc/frame.h"
 #include "serve/protocol.h"
 
 namespace edgeslice::serve {
@@ -125,6 +132,83 @@ TEST(ServeProtocol, HostileObservationLengthIsRejectedBeforeAllocation) {
   write_u64(out, 1);                      // request_id
   write_u64(out, 1ull << 60);             // hostile vector length
   EXPECT_THROW(decode_decide_request(out.str()), std::runtime_error);
+}
+
+double from_bits(std::uint64_t bits) {
+  double x = 0.0;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
+/// The reference bytes: the generic frame encoder over the stream codec.
+std::string reference_frame(std::uint64_t seq, const DecideResponsePayload& response) {
+  ipc::Frame frame;
+  frame.type = ipc::FrameType::DecideResponse;
+  frame.ra = ipc::kConnectionScope;
+  frame.seq = seq;
+  frame.payload = encode_decide_response(response);
+  return ipc::encode_frame(frame);
+}
+
+TEST(ServeProtocol, AppendedDecideResponseFrameIsByteIdenticalToEncodeFrame) {
+  std::vector<double> wide(24);
+  for (std::size_t i = 0; i < wide.size(); ++i) wide[i] = 0.1 * static_cast<double>(i) - 1.0;
+  wide[0] = 0.0;
+  wide[1] = -0.0;
+  wide[2] = std::numeric_limits<double>::quiet_NaN();
+  wide[3] = from_bits(0xfff8000000000123ull);  // negative NaN with a payload
+  wide[4] = std::numeric_limits<double>::denorm_min();
+  wide[5] = -from_bits(0x000fffffffffffffull);  // largest subnormal, negated
+  wide[6] = std::numeric_limits<double>::infinity();
+  wide[7] = std::numeric_limits<double>::max();
+  const std::vector<std::vector<double>> actions = {{}, {-0.0}, wide};
+  const std::uint64_t seqs[] = {0, 1, (1ull << 63) + 5, ~0ull - 1, ~0ull};
+  for (std::uint32_t status : {kDecideOk, kDecideBadRequest, kDecideShed}) {
+    for (const std::vector<double>& action : actions) {
+      for (std::uint64_t seq : seqs) {
+        DecideResponsePayload response;
+        response.request_id = seq ^ 0x5a5a5a5a5a5a5a5aull;
+        response.status = status;
+        response.action = action;
+        // Appending after existing bytes must leave them untouched.
+        std::string out = "held";
+        append_decide_response_frame(out, seq, response);
+        EXPECT_EQ(out, "held" + reference_frame(seq, response))
+            << "status " << status << ", " << action.size() << " doubles, seq " << seq;
+      }
+    }
+  }
+}
+
+TEST(ServeProtocol, AppendedFramesReassembleInSeqOrder) {
+  DecideResponsePayload first;
+  first.request_id = 7;
+  first.action = {0.25, -0.0, 0.75};
+  DecideResponsePayload second;
+  second.request_id = 8;
+  second.status = kDecideShed;
+
+  std::string stream;
+  append_decide_response_frame(stream, 0, first);
+  append_decide_response_frame(stream, 1, second);
+  ipc::append_frame(stream, ipc::FrameType::Pong, ipc::kConnectionScope, 2, "nonce");
+
+  ipc::FrameAssembler assembler;
+  const std::vector<ipc::Frame> frames = assembler.feed(stream.data(), stream.size());
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(assembler.pending_bytes(), 0u);
+  const DecideResponsePayload got_first = decode_decide_response(frames[0].payload);
+  EXPECT_EQ(got_first.request_id, 7u);
+  EXPECT_EQ(got_first.status, kDecideOk);
+  ASSERT_EQ(got_first.action.size(), 3u);
+  EXPECT_TRUE(std::signbit(got_first.action[1]));
+  EXPECT_EQ(got_first.action, first.action);
+  const DecideResponsePayload got_second = decode_decide_response(frames[1].payload);
+  EXPECT_EQ(got_second.request_id, 8u);
+  EXPECT_EQ(got_second.status, kDecideShed);
+  EXPECT_TRUE(got_second.action.empty());
+  EXPECT_EQ(frames[2].type, ipc::FrameType::Pong);
+  EXPECT_EQ(frames[2].payload, "nonce");
 }
 
 TEST(ServeProtocol, StatusNamesAreStable) {

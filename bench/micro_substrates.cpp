@@ -2,15 +2,20 @@
 //
 // These quantify the per-operation costs that bound the control loop:
 // a DDPG inference/update, a coordinator ADMM iteration, a MAC-scheduler
-// TTI, an SDN reconfiguration, a GPU simulation tick, and a local
-// linear-model prediction, and framing one served decision.
+// TTI, an SDN reconfiguration, a GPU simulation tick, a local
+// linear-model prediction, one city RA's environment step, a Poisson
+// draw, and framing one served decision.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "common.h"
 #include "core/coordinator.h"
 #include "ipc/frame.h"
 #include "radio/scheduler.h"
 #include "serve/protocol.h"
+#include "trace/diurnal.h"
 #include "transport/transport_manager.h"
 
 using namespace edgeslice;
@@ -240,6 +245,66 @@ void BM_EnvironmentStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvironmentStep);
+
+// One interval of one city RA, untraced: 8 slices with the city's
+// per-profile grid models (bench::make_profiles at seed 1), a
+// diurnal arrival profile peaking at 3.5 tasks per interval (one day of
+// 24 periods x 6 intervals, as in perfbench's city), and U = -(queue)^2.
+// Unlike perfbench's traced leg, no decorator wraps the service model, so
+// the environment resolves each slice's grid model once and the timing
+// shows what a step costs. The allocation is a fixed equal split.
+void BM_CityEnvironmentStep(benchmark::State& state) {
+  constexpr std::size_t kSlices = 8;
+  constexpr std::size_t kBins = 24 * 6;
+  constexpr double kPeakRate = 3.5;
+  Rng rng(1);
+  const auto profiles = bench::make_profiles(kSlices, rng);
+  env::RaEnvironmentConfig config;
+  config.slices = kSlices;
+  config.intervals_per_period = 6;
+  config.arrival_rate = kPeakRate;
+  env::RaEnvironment environment(config, profiles, bench::make_service_model(profiles),
+                                 env::make_queue_power_perf(2.0), Rng(2));
+  const trace::CellProfile cell = trace::sample_cell_profile(rng);
+  std::vector<std::vector<double>> rates(kSlices, std::vector<double>(kBins));
+  for (std::size_t i = 0; i < kSlices; ++i) {
+    for (std::size_t t = 0; t < kBins; ++t) {
+      const double hour = std::fmod(24.0 * (static_cast<double>(t) + 0.5) / kBins +
+                                        1.5 * static_cast<double>(i),
+                                    24.0);
+      rates[i][t] = trace::cell_activity(cell, hour);
+    }
+    const double peak = *std::max_element(rates[i].begin(), rates[i].end());
+    for (double& r : rates[i]) r = peak > 0.0 ? r / peak * kPeakRate : 0.0;
+  }
+  environment.set_arrival_profiles(rates);
+  const std::vector<double> action(environment.action_dim(), 1.0 / kSlices);
+  env::StepResult result;
+  for (auto _ : state) {
+    environment.step_into(action, result);
+    benchmark::DoNotOptimize(result.reward);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSlices));
+}
+BENCHMARK(BM_CityEnvironmentStep);
+
+// Poisson draws at the city's arrival means: 64 means spread over
+// (0, 3.5], cycled, so the product loop's trip count varies as in a day.
+void BM_RngPoisson(benchmark::State& state) {
+  constexpr std::size_t kMeans = 64;
+  std::vector<double> means(kMeans);
+  for (std::size_t k = 0; k < kMeans; ++k) {
+    means[k] = 3.5 * static_cast<double>(k + 1) / static_cast<double>(kMeans);
+  }
+  Rng rng(1);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.poisson(means[k]));
+    k = (k + 1) % kMeans;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngPoisson);
 
 // One served decision framed for the wire, with a 24-wide action (the
 // city actor's 8 slices x 3 resources). in_place:0 is the stream codec

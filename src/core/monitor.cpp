@@ -13,14 +13,7 @@ SystemMonitor::SystemMonitor(std::size_t slices, std::size_t ras)
   if (slices == 0 || ras == 0) throw std::invalid_argument("SystemMonitor: empty system");
 }
 
-void SystemMonitor::record(std::size_t ra, std::size_t period, std::size_t interval,
-                           const env::StepResult& result,
-                           const std::vector<double>& action) {
-  if (ra >= ras_) throw std::out_of_range("SystemMonitor::record: bad RA");
-
-  // Fold the row into the (period, ra) running sums in arrival order —
-  // exactly the accumulation a full-history rescan would perform, so
-  // report() stays bit-identical to the O(rows) implementation.
+std::vector<double>& SystemMonitor::sums_for(std::size_t ra, std::size_t period) {
   const std::pair<std::size_t, std::size_t> key{period, ra};
   auto it = period_sums_.find(key);
   if (it == period_sums_.end()) {
@@ -37,7 +30,25 @@ void SystemMonitor::record(std::size_t ra, std::size_t period, std::size_t inter
     }
     it->second.assign(slices_, 0.0);
   }
-  auto& sums = it->second;
+  return it->second;
+}
+
+void SystemMonitor::add_period_sums(std::size_t ra, std::size_t period,
+                                    const std::vector<double>& sums) {
+  if (ra >= ras_) throw std::out_of_range("SystemMonitor::add_period_sums: bad RA");
+  auto& running = sums_for(ra, period);
+  for (std::size_t i = 0; i < slices_ && i < sums.size(); ++i) running[i] += sums[i];
+}
+
+void SystemMonitor::record(std::size_t ra, std::size_t period, std::size_t interval,
+                           const env::StepResult& result,
+                           const std::vector<double>& action) {
+  if (ra >= ras_) throw std::out_of_range("SystemMonitor::record: bad RA");
+
+  // Fold the row into the (period, ra) running sums in arrival order —
+  // exactly the accumulation a full-history rescan would perform, so
+  // report() stays bit-identical to the O(rows) implementation.
+  auto& sums = sums_for(ra, period);
   for (std::size_t i = 0; i < slices_ && i < result.performance.size(); ++i) {
     sums[i] += result.performance[i];
   }

@@ -41,8 +41,16 @@ class SystemMonitor {
   SystemMonitor(std::size_t slices, std::size_t ras);
 
   /// --- Dataset --------------------------------------------------------------
+  /// Fold one interval's performance into the (period, ra) sums and, while
+  /// row recording is on, append it as a row.
   void record(std::size_t ra, std::size_t period, std::size_t interval,
               const env::StepResult& result, const std::vector<double>& action);
+  /// Fold a whole period's per-slice sums of one RA at once (`sums[i]` is
+  /// slice i). For a (period, ra) that has no sums yet this gives exactly
+  /// what record() of each interval would: a sum built by the same adds in
+  /// the same order from 0.0 added to 0.0 is itself. EdgeSliceSystem uses
+  /// it when row recording is off, instead of one record() per interval.
+  void add_period_sums(std::size_t ra, std::size_t period, const std::vector<double>& sums);
   const std::vector<IntervalRecord>& records() const { return records_; }
   void clear_records();
 
@@ -63,6 +71,7 @@ class SystemMonitor {
   /// city-scale bench runs with rows off: at hundreds of RAs the row log
   /// is the dominant allocator on the period hot path.
   void set_row_recording(bool enabled) { row_recording_ = enabled; }
+  /// Whether record() keeps rows (EdgeSliceSystem calls record() only then).
   bool row_recording() const { return row_recording_; }
 
   /// Bound the per-(period, ra) RC-M sums to the most recent `periods`
@@ -114,6 +123,8 @@ class SystemMonitor {
   std::size_t evicted_rows_ = 0;
   bool row_recording_ = true;
   std::size_t sum_retention_ = 0;
+  /// The (period, ra) running sums, opened at zero on first use.
+  std::vector<double>& sums_for(std::size_t ra, std::size_t period);
   /// Incremental per-(period, ra) performance sums, updated by record()
   /// in arrival order — the same accumulation order a full-history scan
   /// would use, so report() results are bit-identical to the old scan.

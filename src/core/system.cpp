@@ -36,6 +36,12 @@ void log_fault_event(obs::EventKind kind, std::size_t period, std::size_t ra,
   obs::global_event_log().record(event);
 }
 
+/// Column j of an I x J matrix into `out` (resized to I).
+void column_into(const nn::Matrix& m, std::size_t j, std::vector<double>& out) {
+  out.resize(m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) out[i] = m(i, j);
+}
+
 }  // namespace
 
 EdgeSliceSystem::EdgeSliceSystem(std::vector<env::RaEnvironment*> environments,
@@ -80,6 +86,9 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
   const std::size_t ras = environments_.size();
   const std::size_t intervals = environments_.front()->config().intervals_per_period;
   const FaultInjector* faults = config_.faults;
+  // Monitor rows are recorded per (t, j) only while the row log is on;
+  // otherwise the monitor gets each RA's period sums once, below.
+  const bool rows = monitor_->row_recording();
 
   global_tracer().set_period(period_);
   obs::global_event_log().set_period(period_);
@@ -171,7 +180,7 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
       for (std::size_t j = 0; j < ras; ++j) {
         if (crashed[j]) continue;
         const env::StepResult& step = traces[j].steps[t];
-        monitor_->record(j, period_, interval_, step, traces[j].actions[t]);
+        if (rows) monitor_->record(j, period_, interval_, step, traces[j].actions[t]);
         for (std::size_t i = 0; i < slices; ++i) {
           result.performance_sums(i, j) += step.performance[i];
           result.slice_performance[i] += step.performance[i];
@@ -215,7 +224,7 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
       for (std::size_t j = 0; j < ras; ++j) {
         if (crashed[j]) continue;
         const env::StepResult& step = traces_[j].steps[t];
-        monitor_->record(j, period_, interval_, step, traces_[j].actions[t]);
+        if (rows) monitor_->record(j, period_, interval_, step, traces_[j].actions[t]);
         for (std::size_t i = 0; i < slices; ++i) {
           result.performance_sums(i, j) += step.performance[i];
           result.slice_performance[i] += step.performance[i];
@@ -282,7 +291,7 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
         }
         environment.step_into(action_scratch_, step_scratch_);
         policies_[j]->feedback(step_scratch_);
-        monitor_->record(j, period_, interval_, step_scratch_, action_scratch_);
+        if (rows) monitor_->record(j, period_, interval_, step_scratch_, action_scratch_);
         for (std::size_t i = 0; i < slices; ++i) {
           result.performance_sums(i, j) += step_scratch_.performance[i];
           result.slice_performance[i] += step_scratch_.performance[i];
@@ -302,6 +311,18 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     }
   }
 
+  // Every branch above reduced in the sequential (t, j) order, so column j
+  // of performance_sums is the same adds, in the same order, from the same
+  // 0.0 as the monitor's running sums built by record() of each interval.
+  // With the row log off the monitor takes that column once per live RA.
+  if (!rows) {
+    for (std::size_t j = 0; j < ras; ++j) {
+      if (crashed[j]) continue;
+      column_into(result.performance_sums, j, report_scratch_.performance_sums);
+      monitor_->add_period_sums(j, period_, report_scratch_.performance_sums);
+    }
+  }
+
   if (config_.use_coordinator) {
     const auto coordinate_span = global_tracer().span("coordinate");
     // Live RAs post their RC-M reports onto the message plane; the bus may
@@ -310,10 +331,7 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     for (std::size_t j = 0; j < ras; ++j) {
       if (crashed[j]) continue;
       report_scratch_.ra = j;
-      report_scratch_.performance_sums.resize(slices);
-      for (std::size_t i = 0; i < slices; ++i) {
-        report_scratch_.performance_sums[i] = result.performance_sums(i, j);
-      }
+      column_into(result.performance_sums, j, report_scratch_.performance_sums);
       bus_.post_report(period_, report_scratch_);
     }
 
@@ -386,8 +404,8 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
   metrics.gauge("system.reports_carried").set(static_cast<double>(result.reports_carried));
   metrics.counter("system.rcl_losses").add(result.rcl_losses);
   metrics.counter("system.periods").add();
-  // SLO evaluation against the monitor's incremental per-(ra, period)
-  // sums: the network-wide per-slice performance of the period just run.
+  // SLO evaluation against the period's per-(ra, slice) sums — the values
+  // the monitor's report() holds for this period — summed network-wide.
   // Observation-only — the watchdog's verdicts never steer orchestration.
   if (config_.watchdog != nullptr) {
     slice_sums_scratch_.assign(slices, 0.0);
@@ -397,9 +415,8 @@ void EdgeSliceSystem::run_period_into(PeriodResult& result) {
     slice_worst_ra_scratch_.assign(slices, obs::Event::kNone);
     for (std::size_t j = 0; j < ras; ++j) {
       if (crashed[j]) continue;
-      monitor_->report_into(j, period_, report_scratch_);
       for (std::size_t i = 0; i < slices; ++i) {
-        const double contribution = report_scratch_.performance_sums[i];
+        const double contribution = result.performance_sums(i, j);
         slice_sums_scratch_[i] += contribution;
         if (slice_worst_ra_scratch_[i] == obs::Event::kNone ||
             contribution < slice_min_scratch_[i]) {

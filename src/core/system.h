@@ -79,9 +79,10 @@ struct SystemConfig {
   /// qualify; a shared learning agent does not).
   ThreadPool* pool = nullptr;
   /// Non-owning SLA watchdog; null disables SLO evaluation. When set, the
-  /// system feeds it the network-wide per-slice performance sums (from the
-  /// monitor's incremental per-(ra, period) sums) at the end of each
-  /// period. Observation-only: never feeds back into orchestration.
+  /// system feeds it the network-wide per-slice performance sums (the
+  /// period's performance_sums, which equal the monitor's per-(ra, period)
+  /// sums) at the end of each period. Observation-only: never feeds back
+  /// into orchestration.
   obs::SlaWatchdog* watchdog = nullptr;
   /// Cross-agent batched inference (sequential in-process path only):
   /// per interval, the RAs whose policies report an inference_network()

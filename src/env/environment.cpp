@@ -9,6 +9,13 @@
 
 namespace edgeslice::env {
 
+namespace {
+
+/// A Poisson mean the environment can draw from: finite and non-negative.
+bool valid_rate(double rate) { return rate >= 0.0 && std::isfinite(rate); }
+
+}  // namespace
+
 RaEnvironment::RaEnvironment(const RaEnvironmentConfig& config,
                              std::vector<AppProfile> profiles,
                              std::shared_ptr<const ServiceModel> service_model,
@@ -32,6 +39,12 @@ RaEnvironment::RaEnvironment(const RaEnvironmentConfig& config,
     throw std::invalid_argument("RaEnvironment: null model or performance function");
   if (config_.max_queue == 0)
     throw std::invalid_argument("RaEnvironment: zero max_queue");
+  if (!valid_rate(config_.arrival_rate))
+    throw std::invalid_argument("RaEnvironment: arrival rate must be finite and >= 0");
+  slice_models_.reserve(config_.slices);
+  for (const auto& profile : profiles_) {
+    slice_models_.push_back(&service_model_->resolve(profile));
+  }
 }
 
 SliceQueue RaEnvironment::queue(std::size_t slice) const {
@@ -66,7 +79,8 @@ void RaEnvironment::set_arrival_rates(const std::vector<double>& rates) {
   if (rates.size() != config_.slices)
     throw std::invalid_argument("RaEnvironment: arrival-rate size mismatch");
   for (double r : rates) {
-    if (r < 0.0) throw std::invalid_argument("RaEnvironment: negative arrival rate");
+    if (!valid_rate(r))
+      throw std::invalid_argument("RaEnvironment: negative or non-finite arrival rate");
   }
   arrival_rates_ = rates;
 }
@@ -78,7 +92,8 @@ void RaEnvironment::set_arrival_profiles(std::vector<std::vector<double>> profil
     for (const auto& p : profiles) {
       if (p.empty()) throw std::invalid_argument("RaEnvironment: empty arrival profile");
       for (double r : p) {
-        if (r < 0.0) throw std::invalid_argument("RaEnvironment: negative profile rate");
+        if (!valid_rate(r))
+          throw std::invalid_argument("RaEnvironment: negative or non-finite profile rate");
       }
     }
   }
@@ -112,8 +127,8 @@ void RaEnvironment::step_into(const std::vector<double>& action, StepResult& res
   if (action.size() != action_dim())
     throw std::invalid_argument("RaEnvironment::step: action size mismatch");
   for (double a : action) {
-    if (a < -1e-9 || a > 1.0 + 1e-9)
-      throw std::invalid_argument("RaEnvironment::step: action outside [0,1]");
+    if (!(a >= -1e-9 && a <= 1.0 + 1e-9))
+      throw std::invalid_argument("RaEnvironment::step: action outside [0,1] or NaN");
   }
 
   state_into(result.state);
@@ -159,7 +174,7 @@ void RaEnvironment::step_into(const std::vector<double>& action, StepResult& res
     for (std::size_t k = 0; k < kResources; ++k) {
       alloc[k] = std::clamp(action[i * kResources + k], 0.0, 1.0) * scale[k] * derate_[k];
     }
-    const double tau = service_model_->service_time(profiles_[i], alloc);
+    const double tau = slice_models_[i]->service_time(profiles_[i], alloc);
     last_service_time_[i] = tau;
     const double rate = tau > 0.0 ? config_.interval_seconds / tau : 0.0;
     result.service_rates[i] = rate;
@@ -257,7 +272,7 @@ void RaEnvironment::load_state(std::istream& in) {
   const std::vector<double> arrival_rates = read_f64_vector(in, kContext);
   if (arrival_rates.size() != config_.slices) fail("arrival-rate size mismatch");
   for (double r : arrival_rates) {
-    if (!(r >= 0.0)) fail("negative or non-finite arrival rate");
+    if (!valid_rate(r)) fail("negative or non-finite arrival rate");
   }
   const std::uint64_t profile_count = read_u64(in, kContext);
   if (profile_count != 0 && profile_count != config_.slices) {
@@ -269,7 +284,7 @@ void RaEnvironment::load_state(std::istream& in) {
     profiles.push_back(read_f64_vector(in, kContext));
     if (profiles.back().empty()) fail("empty arrival profile");
     for (double r : profiles.back()) {
-      if (!(r >= 0.0)) fail("negative or non-finite profile rate");
+      if (!valid_rate(r)) fail("negative or non-finite profile rate");
     }
   }
   const std::vector<double> last_service_time = read_f64_vector(in, kContext);

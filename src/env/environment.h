@@ -77,6 +77,8 @@ struct StepResult {
 
 class RaEnvironment {
  public:
+  /// Resolves each slice's service model once (ServiceModel::resolve), so
+  /// an unknown profile throws here, not at the first step.
   RaEnvironment(const RaEnvironmentConfig& config, std::vector<AppProfile> profiles,
                 std::shared_ptr<const ServiceModel> service_model,
                 std::shared_ptr<const PerformanceFunction> perf, Rng rng);
@@ -95,6 +97,8 @@ class RaEnvironment {
   const std::array<double, kResources>& resource_derate() const { return derate_; }
 
   /// Override per-slice Poisson arrival rates (traffic diversity; traces).
+  /// Rates, like config.arrival_rate and profile rates, must be finite and
+  /// >= 0; anything else throws std::invalid_argument.
   void set_arrival_rates(const std::vector<double>& rates);
 
   /// Drive arrivals from cyclic per-interval rate profiles (one vector per
@@ -160,6 +164,9 @@ class RaEnvironment {
   RaEnvironmentConfig config_;
   std::vector<AppProfile> profiles_;
   std::shared_ptr<const ServiceModel> service_model_;
+  /// service_model_->resolve(profiles_[i]) per slice, resolved once at
+  /// construction so a step makes no by-profile lookup.
+  std::vector<const ServiceModel*> slice_models_;
   std::shared_ptr<const PerformanceFunction> perf_;
   Rng rng_;
   /// Per-slice queue state as structure-of-arrays: the period hot path

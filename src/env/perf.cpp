@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace edgeslice::env {
@@ -11,7 +12,15 @@ QueuePowerPerf::QueuePowerPerf(double alpha) : alpha_(alpha) {
 }
 
 double QueuePowerPerf::evaluate(const PerfObservation& observation) const {
-  return -std::pow(std::max(0.0, observation.queue_length), alpha_);
+  const double q = std::max(0.0, observation.queue_length);
+  // For an integer q below 2^26, q * q is exact (below 2^52), and pow's
+  // error is under 1 ulp, so pow(q, 2) returns exactly q * q (checked for
+  // every q in [0, 2^20] in tests/env/test_perf.cpp). Skip the call there.
+  if (alpha_ == 2.0 && q < 0x1p26 &&
+      static_cast<double>(static_cast<std::int64_t>(q)) == q) {
+    return -(q * q);
+  }
+  return -std::pow(q, alpha_);
 }
 
 std::string QueuePowerPerf::name() const {

@@ -45,7 +45,7 @@ DirectServiceModel::DirectServiceModel(const RaCapacity& capacity) : capacity_(c
 double DirectServiceModel::service_time(const AppProfile& profile,
                                         const Allocation& allocation) const {
   for (double a : allocation) {
-    if (a < 0.0 || a > 1.0)
+    if (!(a >= 0.0 && a <= 1.0))
       throw std::invalid_argument("DirectServiceModel: allocation outside [0,1]");
   }
   double total = 0.0;
@@ -199,11 +199,15 @@ PerProfileLinearServiceModel::PerProfileLinearServiceModel(
 
 double PerProfileLinearServiceModel::service_time(const AppProfile& profile,
                                                   const Allocation& allocation) const {
+  return resolve(profile).service_time(profile, allocation);
+}
+
+const ServiceModel& PerProfileLinearServiceModel::resolve(const AppProfile& profile) const {
   const auto it = models_.find(profile.name);
   if (it == models_.end())
     throw std::invalid_argument("PerProfileLinearServiceModel: unknown profile " +
                                 profile.name);
-  return it->second.service_time(profile, allocation);
+  return it->second;
 }
 
 }  // namespace edgeslice::env

@@ -60,6 +60,15 @@ class ServiceModel {
   /// Seconds to serve one task of `profile` under `allocation`.
   virtual double service_time(const AppProfile& profile,
                               const Allocation& allocation) const = 0;
+  /// The model that answers service_time() for `profile`, for callers
+  /// that query one profile many times (RaEnvironment resolves each slice
+  /// once): resolve(p).service_time(p, a) == service_time(p, a). A model
+  /// that dispatches on the profile returns its inner model; the default
+  /// is the model itself.
+  virtual const ServiceModel& resolve(const AppProfile& profile) const {
+    (void)profile;
+    return *this;
+  }
 };
 
 class DirectServiceModel final : public ServiceModel {
@@ -142,6 +151,8 @@ class PerProfileLinearServiceModel final : public ServiceModel {
                                double granularity = 0.1);
   double service_time(const AppProfile& profile,
                       const Allocation& allocation) const override;
+  /// The profile's own grid model; throws for an unknown profile.
+  const ServiceModel& resolve(const AppProfile& profile) const override;
   std::size_t profile_count() const { return models_.size(); }
 
  private:

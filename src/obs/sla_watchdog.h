@@ -5,8 +5,8 @@
 // The coordinator *enforces* that constraint through the ADMM projection;
 // nothing in the seed repo *observed* whether the realized performance
 // actually met it. The watchdog closes that gap: fed once per period with
-// the per-slice performance sums the SystemMonitor already maintains
-// incrementally (monitor.report(ra, period), summed over RAs), it keeps
+// the per-slice performance sums of the period (the values the
+// SystemMonitor's report(ra, period) holds, summed over RAs), it keeps
 // per-slice violation counters, a violation-rate gauge, and an EWMA
 // anomaly score, publishes them to the metrics registry, and emits an
 // `sla.violation` flight-recorder event per violating (period, slice).

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string>
 
 namespace edgeslice {
 namespace {
@@ -124,6 +129,138 @@ TEST(Rng, ChanceExtremes) {
 TEST(Rng, ExponentialIsPositive) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) EXPECT_GT(rng.exponential(2.0), 0.0);
+}
+
+// --- Mt19937_64 against std::mt19937_64 ----------------------------------
+
+constexpr std::uint64_t kEngineSeeds[] = {0, 1, 5489, ~std::uint64_t{0}};
+
+template <typename Engine>
+std::string engine_text(const Engine& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+TEST(Mt19937_64, MatchesStdForTenMillionDraws) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    std::mt19937_64 reference(seed);
+    Mt19937_64 engine(seed);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 10'000'000; ++i) mismatches += engine() != reference();
+    EXPECT_EQ(mismatches, 0u) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937_64, StreamTextIsByteEqualToStd) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    std::mt19937_64 reference(seed);
+    Mt19937_64 engine(seed);
+    int drawn = 0;
+    for (const int position : {0, 1, 311, 312, 313}) {
+      for (; drawn < position; ++drawn) ASSERT_EQ(engine(), reference());
+      const std::string text = engine_text(engine);
+      EXPECT_EQ(text, engine_text(reference)) << "seed " << seed << " after " << position;
+      // 312 words plus the position.
+      std::istringstream words(text);
+      std::size_t count = 0;
+      for (std::string word; words >> word;) ++count;
+      EXPECT_EQ(count, Mt19937_64::state_size + 1);
+
+      // Restoring the text continues the same stream, on both engines.
+      Mt19937_64 restored(12345);
+      std::istringstream in(text);
+      ASSERT_TRUE(in >> restored);
+      EXPECT_EQ(restored, engine);
+      std::mt19937_64 reference_restored;
+      std::istringstream reference_in(text);
+      reference_in >> reference_restored;
+      for (int i = 0; i < 1000; ++i) ASSERT_EQ(restored(), reference_restored());
+    }
+  }
+}
+
+TEST(Mt19937_64, StreamReadRejectsBadPositionAndKeepsState) {
+  Mt19937_64 engine(7);
+  engine();
+  std::string text = engine_text(engine);
+  const std::string head = text.substr(0, text.rfind(' ') + 1);
+
+  Mt19937_64 target(99);
+  const Mt19937_64 before = target;
+  std::istringstream too_far(head + "313");
+  EXPECT_FALSE(too_far >> target);
+  EXPECT_EQ(target, before);
+  std::istringstream truncated(head);
+  EXPECT_FALSE(truncated >> target);
+  EXPECT_EQ(target, before);
+  std::istringstream at_end(head + "312");
+  EXPECT_TRUE(at_end >> target);
+}
+
+TEST(Rng, DistributionsMatchStdEngine) {
+  for (const std::uint64_t seed : kEngineSeeds) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(rng.uniform(-2.0, 3.0),
+                std::uniform_real_distribution<double>(-2.0, 3.0)(reference));
+      ASSERT_EQ(rng.normal(1.0, 2.0), std::normal_distribution<double>(1.0, 2.0)(reference));
+      ASSERT_EQ(rng.uniform_int(-5, 1000),
+                std::uniform_int_distribution<std::int64_t>(-5, 1000)(reference));
+      ASSERT_EQ(rng.exponential(0.7), std::exponential_distribution<double>(0.7)(reference));
+      ASSERT_EQ(rng.chance(0.3), std::bernoulli_distribution(0.3)(reference));
+      ASSERT_EQ(rng.lognormal(0.5, 0.25),
+                std::lognormal_distribution<double>(0.5, 0.25)(reference));
+      for (const double mean : {12.0, 12.5, 40.0, 3600.0, 1e6}) {
+        ASSERT_EQ(rng.poisson(mean), std::poisson_distribution<int>(mean)(reference));
+      }
+    }
+  }
+}
+
+TEST(Rng, SmallMeanPoissonMatchesStdDistribution) {
+  // The inline product loop against the distribution object, on a grid
+  // over (0, 12] that includes the crossover, for several seeds.
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{5}, ~std::uint64_t{0}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int round = 0; round < 20; ++round) {
+      for (int k = 1; k <= 480; ++k) {
+        const double mean = 0.025 * k;
+        ASSERT_EQ(rng.poisson(mean), std::poisson_distribution<int>(mean)(reference))
+            << "seed " << seed << " mean " << mean;
+      }
+      for (const double mean : {1e-300, 1e-9, 0.1, 11.999999999999998}) {
+        ASSERT_EQ(rng.poisson(mean), std::poisson_distribution<int>(mean)(reference));
+      }
+    }
+  }
+}
+
+TEST(Rng, PoissonRejectsNonFiniteAndHugeMeans) {
+  Rng rng(13);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(rng.poisson(inf), std::invalid_argument);
+  EXPECT_THROW(rng.poisson(-inf), std::invalid_argument);
+  EXPECT_THROW(rng.poisson(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(rng.poisson(1e10), std::invalid_argument);
+  EXPECT_THROW(rng.poisson(std::nextafter(Rng::kMaxPoissonMean, inf)), std::invalid_argument);
+  EXPECT_GT(rng.poisson(Rng::kMaxPoissonMean), 0);
+}
+
+TEST(Rng, DeserializeRejectsBadPositionAndTrailingText) {
+  Rng rng(21);
+  rng.uniform();
+  const std::string blob = rng.serialize();
+  EXPECT_NO_THROW(Rng::deserialize(blob));
+  EXPECT_NO_THROW(Rng::deserialize(blob + " "));
+  EXPECT_THROW(Rng::deserialize(blob + " 7"), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(blob + "x"), std::runtime_error);
+  const std::string head = blob.substr(0, blob.rfind(' ') + 1);
+  EXPECT_NO_THROW(Rng::deserialize(head + "312"));
+  EXPECT_THROW(Rng::deserialize(head + "313"), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(head + "18446744073709551615"), std::runtime_error);
 }
 
 }  // namespace

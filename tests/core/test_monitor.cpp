@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <sstream>
+
+#include "common/fault.h"
+#include "common/thread_pool.h"
+#include "core/policies.h"
+#include "core/system.h"
 
 namespace edgeslice::core {
 namespace {
@@ -238,6 +245,96 @@ TEST(Monitor, ZeroCapRetainsEverything) {
   }
   EXPECT_EQ(monitor.records().size(), 300u);
   EXPECT_EQ(monitor.evicted_rows(), 0u);
+}
+
+TEST(Monitor, AddPeriodSumsEqualsRecordingEveryInterval) {
+  SystemMonitor by_row(2, 2);
+  SystemMonitor by_period(2, 2);
+  std::vector<double> sums(2, 0.0);
+  for (std::size_t t = 0; t < 7; ++t) {
+    const std::vector<double> u{-0.1 * static_cast<double>(t) - 1e-17, -3.0 / (1.0 + t)};
+    by_row.record(1, 4, t, make_step(u, {}), {});
+    for (std::size_t i = 0; i < 2; ++i) sums[i] += u[i];
+  }
+  by_period.add_period_sums(1, 4, sums);
+  EXPECT_EQ(by_period.report(1, 4).performance_sums, by_row.report(1, 4).performance_sums);
+  EXPECT_TRUE(by_period.records().empty());
+  EXPECT_THROW(by_period.add_period_sums(2, 4, sums), std::out_of_range);
+}
+
+/// report() of every (period, RA) after a small city run: 5 RAs x 3
+/// slices under TARO, per-profile grid models, RA crashes and RC-M loss.
+/// Odd RAs report U = -service time, whose sums depend on the order of
+/// the adds; even RAs report U = -(queue)^2.
+std::vector<std::vector<double>> system_reports(std::size_t threads, bool rows) {
+  constexpr std::size_t kRas = 5;
+  constexpr std::size_t kPeriods = 6;
+  const std::vector<env::AppProfile> profiles{env::slice1_profile(), env::slice2_profile(),
+                                              env::slice1_profile()};
+  const env::DirectServiceModel truth(env::prototype_capacity());
+  const auto model =
+      std::make_shared<env::PerProfileLinearServiceModel>(profiles, truth, 0.1);
+  env::RaEnvironmentConfig env_config;
+  env_config.slices = profiles.size();
+  env_config.intervals_per_period = 4;
+  env_config.arrival_rate = 6.0;
+  std::vector<std::unique_ptr<env::RaEnvironment>> environments;
+  std::vector<std::unique_ptr<RaPolicy>> policies;
+  std::vector<env::RaEnvironment*> env_ptrs;
+  std::vector<RaPolicy*> policy_ptrs;
+  for (std::size_t j = 0; j < kRas; ++j) {
+    environments.push_back(std::make_unique<env::RaEnvironment>(
+        env_config, profiles, model,
+        j % 2 == 1 ? env::make_neg_service_time_perf() : env::make_queue_power_perf(2.0),
+        Rng(70 + j)));
+    environments.back()->set_arrival_profiles(
+        {{2.0, 12.0, 5.0}, {8.0, 1.0}, {0.0, 6.0 + 2.0 * static_cast<double>(j)}});
+    policies.push_back(std::make_unique<TaroPolicy>());
+    env_ptrs.push_back(environments.back().get());
+    policy_ptrs.push_back(policies.back().get());
+  }
+  FaultPlan plan;
+  plan.seed = 3;
+  plan.rates.ra_crash = 0.2;
+  plan.rates.rcm_drop = 0.2;
+  const FaultInjector faults(plan);
+  CoordinatorConfig coordinator;
+  coordinator.slices = profiles.size();
+  coordinator.ras = kRas;
+  SystemConfig config;
+  config.faults = &faults;
+  ThreadPool pool(threads);
+  config.pool = threads > 1 ? &pool : nullptr;
+  EdgeSliceSystem system(env_ptrs, policy_ptrs, coordinator, config);
+  system.monitor().set_row_recording(rows);
+  system.run(kPeriods);
+  EXPECT_EQ(system.monitor().records().empty(), !rows);
+
+  std::vector<std::vector<double>> reports;
+  for (std::size_t period = 0; period < kPeriods; ++period) {
+    for (std::size_t ra = 0; ra < kRas; ++ra) {
+      reports.push_back(system.monitor().report(ra, period).performance_sums);
+    }
+  }
+  return reports;
+}
+
+TEST(Monitor, SystemReportsAgreeAcrossThreadsAndRowRecording) {
+  // With the row log off the system folds each RA's period sums once;
+  // with it on, record() folds them interval by interval. Both must give
+  // report() bit for bit, sequentially and on a 4-thread pool.
+  const auto sequential = system_reports(1, false);
+  std::size_t zero = 0;
+  std::size_t fractional = 0;
+  for (const auto& sums : sequential) {
+    zero += sums == std::vector<double>(sums.size(), 0.0);
+    fractional += sums[1] != std::floor(sums[1]);
+  }
+  EXPECT_GT(zero, 0u);  // crashed RA-periods report nothing
+  EXPECT_GT(fractional, sequential.size() / 4);
+  EXPECT_EQ(system_reports(4, false), sequential);
+  EXPECT_EQ(system_reports(1, true), sequential);
+  EXPECT_EQ(system_reports(4, true), sequential);
 }
 
 TEST(Monitor, ClearRecordsKeepsAssociations) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 
 namespace edgeslice::env {
 namespace {
@@ -46,6 +51,123 @@ TEST(Environment, StepValidatesAction) {
   auto environment = make_env();
   EXPECT_THROW(environment.step({0.5, 0.5}), std::invalid_argument);
   EXPECT_THROW(environment.step({2.0, 0, 0, 0, 0, 0}), std::invalid_argument);
+}
+
+TEST(Environment, StepRejectsNanAction) {
+  // A NaN share would reach the service model's floor-and-cast (undefined
+  // behaviour in LocalLinearServiceModel) instead of being refused.
+  const DirectServiceModel truth(prototype_capacity());
+  const auto local = std::make_shared<PerProfileLinearServiceModel>(
+      std::vector<AppProfile>{slice1_profile(), slice2_profile()}, truth, 0.1);
+  RaEnvironment environment({}, {slice1_profile(), slice2_profile()}, local,
+                            make_queue_power_perf(), Rng(1));
+  for (std::size_t k = 0; k < environment.action_dim(); ++k) {
+    auto action = equal_action();
+    action[k] = std::nan("");
+    EXPECT_THROW(environment.step(action), std::invalid_argument) << "element " << k;
+  }
+  EXPECT_NO_THROW(environment.step(equal_action()));
+  EXPECT_THROW(truth.service_time(slice1_profile(), {std::nan(""), 0.5, 0.5}),
+               std::invalid_argument);
+}
+
+/// Every occurrence of `from`'s bytes in `blob` replaced by `to`'s.
+std::string replace_f64(std::string blob, double from, double to) {
+  char a[sizeof(double)];
+  char b[sizeof(double)];
+  std::memcpy(a, &from, sizeof a);
+  std::memcpy(b, &to, sizeof b);
+  const std::string needle(a, sizeof a);
+  std::size_t replaced = 0;
+  for (std::size_t at = blob.find(needle); at != std::string::npos;
+       at = blob.find(needle, at + sizeof a)) {
+    blob.replace(at, sizeof b, b, sizeof b);
+    ++replaced;
+  }
+  EXPECT_GT(replaced, 0u);
+  return blob;
+}
+
+TEST(Environment, RejectsNonFiniteArrivalRates) {
+  // std::poisson_distribution does not return for some huge means, so a
+  // non-finite rate must be refused before it reaches a step.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  for (const double bad : {inf, nan, -1.0}) {
+    RaEnvironmentConfig config;
+    config.arrival_rate = bad;
+    EXPECT_THROW(make_env(config), std::invalid_argument);
+    auto environment = make_env();
+    EXPECT_THROW(environment.set_arrival_rates({1.0, bad}), std::invalid_argument);
+    EXPECT_THROW(environment.set_arrival_profiles({{1.0, 2.0}, {bad}}),
+                 std::invalid_argument);
+  }
+
+  // Blobs: a rate and a profile rate patched to +inf and NaN.
+  auto environment = make_env();
+  environment.set_arrival_rates({7.25, 7.25});
+  environment.set_arrival_profiles({{3.125, 1.0}, {3.125}});
+  std::ostringstream out;
+  environment.save_state(out);
+  for (const double bad : {inf, nan}) {
+    for (const double rate : {7.25, 3.125}) {
+      std::istringstream in(replace_f64(out.str(), rate, bad));
+      auto target = make_env();
+      EXPECT_THROW(target.load_state(in), std::runtime_error);
+    }
+  }
+  std::istringstream clean(out.str());
+  auto target = make_env();
+  EXPECT_NO_THROW(target.load_state(clean));
+}
+
+/// Forwards service_time and keeps the default resolve(), so every query
+/// goes through the inner model's by-profile dispatch.
+class ByProfileDispatch final : public ServiceModel {
+ public:
+  explicit ByProfileDispatch(std::shared_ptr<const ServiceModel> inner)
+      : inner_(std::move(inner)) {}
+  double service_time(const AppProfile& profile,
+                      const Allocation& allocation) const override {
+    ++calls;
+    return inner_->service_time(profile, allocation);
+  }
+  mutable std::size_t calls = 0;
+
+ private:
+  std::shared_ptr<const ServiceModel> inner_;
+};
+
+TEST(Environment, ResolvedServiceModelMatchesPerCallDispatch) {
+  const DirectServiceModel truth(prototype_capacity());
+  const std::vector<AppProfile> profiles{slice1_profile(), slice2_profile(),
+                                         slice1_profile()};
+  const auto model = std::make_shared<PerProfileLinearServiceModel>(profiles, truth, 0.1);
+  const auto dispatch = std::make_shared<ByProfileDispatch>(model);
+  RaEnvironmentConfig config;
+  config.slices = profiles.size();
+  config.arrival_rate = 3.0;
+  RaEnvironment resolved(config, profiles, model, make_queue_power_perf(), Rng(9));
+  RaEnvironment per_call(config, profiles, dispatch, make_queue_power_perf(), Rng(9));
+  Rng actions(4);
+  const std::size_t steps = 300;
+  for (std::size_t t = 0; t < steps; ++t) {
+    const auto action = actions.uniforms(resolved.action_dim(), 0.0, 0.6);
+    const auto a = resolved.step(action);
+    const auto b = per_call.step(action);
+    ASSERT_EQ(a.service_rates, b.service_rates);
+    ASSERT_EQ(a.performance, b.performance);
+    ASSERT_EQ(a.queue_lengths, b.queue_lengths);
+    ASSERT_EQ(a.reward, b.reward);
+  }
+  EXPECT_EQ(dispatch->calls, steps * profiles.size());
+
+  // An unknown profile is refused when the environment is built.
+  const auto partial = std::make_shared<PerProfileLinearServiceModel>(
+      std::vector<AppProfile>{slice1_profile()}, truth, 0.1);
+  EXPECT_THROW(RaEnvironment({}, {slice1_profile(), slice2_profile()}, partial,
+                             make_queue_power_perf(), Rng(1)),
+               std::invalid_argument);
 }
 
 TEST(Environment, QueuesGrowWithoutResources) {

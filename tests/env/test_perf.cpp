@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace edgeslice::env {
 namespace {
 
@@ -35,6 +38,35 @@ TEST(QueuePowerPerf, InvalidAlphaThrows) {
 TEST(QueuePowerPerf, NegativeQueueClamped) {
   QueuePowerPerf perf;
   EXPECT_DOUBLE_EQ(perf.evaluate({-3.0, 0.0}), 0.0);
+}
+
+// The alpha = 2 fast path returns -(q * q) for integer queues below 2^26.
+// The exponent is read through a volatile so the compiler cannot fold
+// pow(q, 2.0) into q * q and make the reference the fast path itself.
+TEST(QueuePowerPerf, SquareIsBitIdenticalToPow) {
+  volatile double two_storage = 2.0;
+  const double two = two_storage;
+  const QueuePowerPerf perf(2.0);
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t n = 0; n <= (std::uint64_t{1} << 20); ++n) {
+    const double q = static_cast<double>(n);
+    const double reference = -std::pow(q, two);
+    mismatches += -(q * q) != reference;
+    mismatches += perf.evaluate({q, 0.0}) != reference;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Powers of two and their neighbours up to the bound, and past it.
+  for (int e = 20; e <= 30; ++e) {
+    for (const double q : {std::ldexp(1.0, e) - 1.0, std::ldexp(1.0, e),
+                           std::ldexp(1.0, e) + 1.0}) {
+      EXPECT_EQ(perf.evaluate({q, 0.0}), -std::pow(q, two)) << q;
+    }
+  }
+  // Non-integers take pow.
+  for (const double q : {0.5, 2.5, 499.75, 1e-300}) {
+    EXPECT_EQ(perf.evaluate({q, 0.0}), -std::pow(q, two)) << q;
+  }
+  EXPECT_TRUE(std::signbit(perf.evaluate({0.0, 0.0})));
 }
 
 TEST(QueuePowerPerf, NameEncodesAlpha) {

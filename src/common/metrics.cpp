@@ -113,15 +113,6 @@ void Gauge::set(double v) {
   written_.store(true, std::memory_order_release);
 }
 
-void Gauge::add(double delta) {
-  if (!metrics_enabled()) return;
-  double expected = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(expected, expected + delta,
-                                       std::memory_order_relaxed)) {
-  }
-  written_.store(true, std::memory_order_release);
-}
-
 double Gauge::value() const { return value_.load(std::memory_order_relaxed); }
 
 void merge_histogram_state(HistogramState& a, const HistogramState& b) {
@@ -312,22 +303,6 @@ std::vector<std::string> MetricsRegistry::counter_names() const {
   return names;
 }
 
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [key, metric] : gauges_) names.push_back(display_name(key));
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [key, metric] : histograms_) names.push_back(display_name(key));
-  return names;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snap;
@@ -374,28 +349,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
     first = false;
   }
   out << (first ? "}" : "\n  }") << "\n}";
-}
-
-void MetricsRegistry::write_csv(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  out << "kind,name,field,value\n";
-  for (const auto& [key, metric] : counters_) {
-    out << "counter," << display_name(key) << ",value," << metric->value() << "\n";
-  }
-  for (const auto& [key, metric] : gauges_) {
-    out << "gauge," << display_name(key) << ",value," << metric->value() << "\n";
-  }
-  for (const auto& [key, metric] : histograms_) {
-    const std::string name = display_name(key);
-    out << "histogram," << name << ",count," << metric->count() << "\n";
-    out << "histogram," << name << ",mean," << metric->mean() << "\n";
-    out << "histogram," << name << ",min," << metric->min() << "\n";
-    out << "histogram," << name << ",max," << metric->max() << "\n";
-    out << "histogram," << name << ",total," << metric->total() << "\n";
-    out << "histogram," << name << ",p50," << metric->quantile(0.5) << "\n";
-    out << "histogram," << name << ",p90," << metric->quantile(0.9) << "\n";
-    out << "histogram," << name << ",p99," << metric->quantile(0.99) << "\n";
-  }
 }
 
 void MetricsRegistry::write_prometheus(std::ostream& out) const {

@@ -70,7 +70,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v);
-  void add(double delta);
   double value() const;
   bool written() const { return written_.load(std::memory_order_acquire); }
 
@@ -169,10 +168,8 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
   Histogram& histogram(const std::string& name, const MetricLabels& labels);
 
-  /// Display names (name + label suffix), sorted.
+  /// Counter display names (name + label suffix), sorted.
   std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-  std::vector<std::string> histogram_names() const;
 
   /// Plain-value copy of everything (telemetry shipping).
   MetricsSnapshot snapshot() const;
@@ -180,8 +177,6 @@ class MetricsRegistry {
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count, mean, min, max, total, p50, p90, p99}}}.
   void write_json(std::ostream& out) const;
-  /// Flat CSV: kind,name,field,value (one row per exported scalar).
-  void write_csv(std::ostream& out) const;
   /// Prometheus text exposition format (the /metrics HTTP payload).
   /// Dotted names are sanitized to legal Prometheus names ('.' and every
   /// other illegal character become '_'); label variants of one name

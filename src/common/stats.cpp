@@ -21,10 +21,6 @@ double stddev(const std::vector<double>& xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double sum(const std::vector<double>& xs) {
-  return std::accumulate(xs.begin(), xs.end(), 0.0);
-}
-
 double percentile(std::vector<double> xs, double p) {
   if (xs.empty()) throw std::invalid_argument("percentile: empty input");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
@@ -43,24 +39,6 @@ double ecdf_at(const std::vector<double>& xs, double threshold) {
   return n / static_cast<double>(xs.size());
 }
 
-std::vector<std::pair<double, double>> ecdf_points(std::vector<double> xs,
-                                                   std::size_t points) {
-  std::vector<std::pair<double, double>> out;
-  if (xs.empty() || points == 0) return out;
-  std::sort(xs.begin(), xs.end());
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    const double q = static_cast<double>(i + 1) / static_cast<double>(points);
-    const auto idx = std::min(
-        xs.size() - 1,
-        static_cast<std::size_t>(q * static_cast<double>(xs.size())) == 0
-            ? 0
-            : static_cast<std::size_t>(q * static_cast<double>(xs.size())) - 1);
-    out.emplace_back(xs[idx], q);
-  }
-  return out;
-}
-
 void RunningStat::add(double x) {
   ++n_;
   if (n_ == 1) {
@@ -74,23 +52,6 @@ void RunningStat::add(double x) {
   m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-}
-
-double RunningStat::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double Ema::add(double x) {
-  if (!primed_) {
-    value_ = x;
-    primed_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-  return value_;
 }
 
 }  // namespace edgeslice

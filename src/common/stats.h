@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace edgeslice {
@@ -13,28 +12,19 @@ double mean(const std::vector<double>& xs);
 /// Sample standard deviation (n-1 denominator); 0 when fewer than 2 samples.
 double stddev(const std::vector<double>& xs);
 
-/// Sum of all elements.
-double sum(const std::vector<double>& xs);
-
 /// Linear-interpolated percentile, p in [0, 100]. Throws on empty input.
 double percentile(std::vector<double> xs, double p);
 
 /// Empirical CDF evaluated at `threshold`: fraction of samples <= threshold.
 double ecdf_at(const std::vector<double>& xs, double threshold);
 
-/// Evenly spaced (value, cumulative probability) points of the empirical CDF,
-/// suitable for printing a CDF series. Returns `points` pairs.
-std::vector<std::pair<double, double>> ecdf_points(std::vector<double> xs,
-                                                   std::size_t points = 20);
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean/extremes accumulator (Welford's algorithm; m2() / (n - 1)
+/// is the sample variance).
 class RunningStat {
  public:
   void add(double x);
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
   double min() const { return min_; }
   double max() const { return max_; }
   /// Welford's second central moment sum (exposed for checkpointing).
@@ -59,20 +49,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Exponential moving average with smoothing factor alpha in (0, 1].
-class Ema {
- public:
-  explicit Ema(double alpha) : alpha_(alpha) {}
-  double add(double x);
-  double value() const { return value_; }
-  bool empty() const { return !primed_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool primed_ = false;
 };
 
 }  // namespace edgeslice

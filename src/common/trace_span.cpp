@@ -61,11 +61,6 @@ void Tracer::set_period(std::size_t period) {
   period_ = period;
 }
 
-std::size_t Tracer::period() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return period_;
-}
-
 void Tracer::record(const std::string& path, double seconds) {
   if (!metrics_enabled()) return;
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -126,14 +121,6 @@ SpanStats Tracer::overall(const std::string& path) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = series_.find(path);
   return it == series_.end() ? SpanStats{} : it->second.overall;
-}
-
-SpanStats Tracer::for_period(const std::string& path, std::size_t period) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = series_.find(path);
-  if (it == series_.end()) return {};
-  const auto pit = it->second.per_period.find(period);
-  return pit == it->second.per_period.end() ? SpanStats{} : pit->second;
 }
 
 std::vector<std::pair<std::size_t, SpanStats>> Tracer::periods(

@@ -69,7 +69,6 @@ class Tracer {
 
   /// The period label under which subsequent records aggregate.
   void set_period(std::size_t period);
-  std::size_t period() const;
 
   /// Record a finished duration directly (no clock involved).
   void record(const std::string& path, double seconds);
@@ -86,7 +85,6 @@ class Tracer {
 
   std::vector<std::string> names() const;
   SpanStats overall(const std::string& path) const;
-  SpanStats for_period(const std::string& path, std::size_t period) const;
   /// Retained (period, stats) pairs of one span, oldest first.
   std::vector<std::pair<std::size_t, SpanStats>> periods(const std::string& path) const;
 

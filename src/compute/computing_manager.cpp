@@ -62,14 +62,8 @@ void ComputingManager::submit(std::size_t slice, const Kernel& kernel) {
   submit_split(gpu_, slice_app_[slice], kernel, quota);
 }
 
-void ComputingManager::set_slowdown(double factor) {
-  if (!(factor >= 1.0))
-    throw std::invalid_argument("ComputingManager: slowdown factor must be >= 1");
-  slowdown_ = factor;
-}
-
 std::vector<double> ComputingManager::run(double seconds, double tick) {
-  const auto completed = gpu_.run(seconds / slowdown_, tick);
+  const auto completed = gpu_.run(seconds, tick);
   std::vector<double> out(slice_share_.size(), 0.0);
   for (std::size_t i = 0; i < slice_share_.size(); ++i) {
     const auto it = completed.find(slice_app_[i]);
@@ -81,8 +75,7 @@ std::vector<double> ComputingManager::run(double seconds, double tick) {
 double ComputingManager::service_time(std::size_t slice, double work) const {
   const std::size_t threads = slice_threads(slice);
   if (threads == 0) return std::numeric_limits<double>::infinity();
-  return slowdown_ * work /
-         (static_cast<double>(threads) * config_.gpu.work_units_per_thread_per_second);
+  return work / (static_cast<double>(threads) * config_.gpu.work_units_per_thread_per_second);
 }
 
 bool ComputingManager::idle(std::size_t slice) const {

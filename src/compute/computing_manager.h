@@ -44,20 +44,12 @@ class ComputingManager {
   /// assuming the slice runs alone at its cap (used by the grid dataset).
   double service_time(std::size_t slice, double work) const;
 
-  /// --- Fault hook ---------------------------------------------------------
-  /// Degrade the GPU by `factor >= 1` (thermal throttling, co-tenant
-  /// interference): service times stretch by the factor and run() makes
-  /// proportionally less progress per wall-clock second. 1 restores health.
-  void set_slowdown(double factor);
-  double slowdown() const { return slowdown_; }
-
   bool idle(std::size_t slice) const;
   std::size_t slice_count() const { return slice_share_.size(); }
   const Gpu& gpu() const { return gpu_; }
 
  private:
   ComputingManagerConfig config_;
-  double slowdown_ = 1.0;
   Gpu gpu_;
   std::vector<std::size_t> slice_app_;   // GPU app id per slice
   std::vector<double> slice_share_;

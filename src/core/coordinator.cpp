@@ -200,34 +200,6 @@ void PerformanceCoordinator::update(const nn::Matrix& performance_sums,
                   config_.rho * std::sqrt(y_norm), u_live.size());
 }
 
-void PerformanceCoordinator::update(const std::vector<RcMonitoringMessage>& reports) {
-  nn::Matrix u(config_.slices, config_.ras);
-  if (reports.size() != config_.ras)
-    reject("report_count", obs::RejectCause::ReportCount, "PerformanceCoordinator: need one report per RA");
-  std::vector<bool> seen(config_.ras, false);
-  for (const auto& report : reports) {
-    if (report.ra >= config_.ras || report.performance_sums.size() != config_.slices)
-      reject("malformed_report", obs::RejectCause::MalformedReport, "PerformanceCoordinator: malformed RC-M report");
-    if (seen[report.ra])
-      reject("duplicate_report", obs::RejectCause::DuplicateReport,
-             "PerformanceCoordinator: duplicate RC-M report for RA " +
-                 std::to_string(report.ra));
-    seen[report.ra] = true;
-    for (std::size_t i = 0; i < config_.slices; ++i) {
-      if (!std::isfinite(report.performance_sums[i]))
-        reject("nonfinite", obs::RejectCause::NonFinite, "PerformanceCoordinator: non-finite RC-M report");
-      u(i, report.ra) = report.performance_sums[i];
-    }
-  }
-  update(u);
-}
-
-RcLearningMessage PerformanceCoordinator::coordination_for(std::size_t ra) const {
-  RcLearningMessage msg;
-  coordination_for_into(ra, msg);
-  return msg;
-}
-
 void PerformanceCoordinator::coordination_for_into(std::size_t ra,
                                                    RcLearningMessage& msg) const {
   msg.ra = ra;
@@ -293,14 +265,6 @@ void PerformanceCoordinator::load_state(std::istream& in) {
   z_ = std::move(z);
   y_ = std::move(y);
   monitor_.restore(static_cast<std::size_t>(iterations), converged, std::move(history));
-}
-
-void PerformanceCoordinator::apply_slice_request(const SliceRequest& request) {
-  if (request.slice >= config_.slices)
-    throw std::out_of_range("PerformanceCoordinator: bad slice in request");
-  if (!std::isfinite(request.u_min))
-    throw std::invalid_argument("PerformanceCoordinator: non-finite u_min in request");
-  config_.u_min[request.slice] = request.u_min;
 }
 
 }  // namespace edgeslice::core

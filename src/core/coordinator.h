@@ -44,16 +44,9 @@ class PerformanceCoordinator {
   /// all-true mask this is exactly update(performance_sums).
   void update(const nn::Matrix& performance_sums, const std::vector<bool>& active);
 
-  /// Convenience overload taking RC-M messages from the system monitors.
-  /// Requires exactly one well-formed report per RA (no duplicate or
-  /// missing RA indices, finite performance sums).
-  void update(const std::vector<RcMonitoringMessage>& reports);
-
-  /// Coordinating information for RA j (z - y per slice), as an RC-L message.
-  RcLearningMessage coordination_for(std::size_t ra) const;
-
-  /// coordination_for() into a caller-owned message (vector resized in
-  /// place) — the per-period RC-L push loop reuses one message.
+  /// Coordinating information for RA j (z - y per slice), as an RC-L
+  /// message written into a caller-owned one (vector resized in place) —
+  /// the per-period RC-L push loop reuses one message.
   void coordination_for_into(std::size_t ra, RcLearningMessage& msg) const;
 
   double z(std::size_t slice, std::size_t ra) const;
@@ -66,9 +59,6 @@ class PerformanceCoordinator {
   std::size_t iterations() const { return monitor_.iterations(); }
   const opt::AdmmMonitor& monitor() const { return monitor_; }
   const CoordinatorConfig& config() const { return config_; }
-
-  /// Register / modify a tenant SLA at runtime (the SR interface).
-  void apply_slice_request(const SliceRequest& request);
 
   /// Serialize the ADMM iterate — Z, Y, and the monitor's iteration
   /// count, sticky convergence flag, and residual history — as the

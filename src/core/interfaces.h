@@ -4,14 +4,12 @@
 //   VR    — virtual resource: agent <-> radio/transport/computing manager
 //   RC-L  — resource coordination (learning): coordinator -> agents
 //   RC-M  — resource coordination (monitoring): monitors -> coordinator
-//   SR    — slice request: tenants -> operator (SLA configuration)
 // The decentralization claim of the paper is inspectable here: the only
 // recurring coordinator <-> RA traffic is RcLearningMessage (|I| doubles
 // per RA per period) and RcMonitoringMessage (|I| doubles back).
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace edgeslice::core {
@@ -38,13 +36,6 @@ struct RcLearningMessage {
 struct RcMonitoringMessage {
   std::size_t ra = 0;
   std::vector<double> performance_sums;  // sum_t U per slice over the period
-};
-
-/// SR: a slice tenant's request / SLA configuration.
-struct SliceRequest {
-  std::size_t slice = 0;
-  double u_min = 0.0;       // minimum network-wide performance (Eq. 2)
-  std::string app_profile;  // descriptive
 };
 
 }  // namespace edgeslice::core

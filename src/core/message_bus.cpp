@@ -65,12 +65,6 @@ void MessageBus::post_report(std::size_t period, const RcMonitoringMessage& mess
   pending_.push_back(std::move(envelope));
 }
 
-std::vector<RcmEnvelope> MessageBus::collect_reports(std::size_t period) {
-  std::vector<RcmEnvelope> due;
-  collect_reports_into(period, due);
-  return due;
-}
-
 void MessageBus::collect_reports_into(std::size_t period,
                                       std::vector<RcmEnvelope>& due) {
   due.clear();

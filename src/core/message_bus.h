@@ -53,13 +53,11 @@ class MessageBus {
   void post_report(std::size_t period, const RcMonitoringMessage& message);
 
   /// Coordinator side: drain every report deliverable at `period`
-  /// (in-flight envelopes with deliver_period <= period), ordered by
-  /// (deliver_period, seq) — i.e. delayed duplicates of a newer report
-  /// sort before it only if they were due earlier.
-  std::vector<RcmEnvelope> collect_reports(std::size_t period);
-
-  /// collect_reports() into a caller-owned buffer (cleared first). Pair
-  /// with recycle() to run the report plane allocation-free once warm.
+  /// (in-flight envelopes with deliver_period <= period) into a
+  /// caller-owned buffer (cleared first), ordered by (deliver_period, seq)
+  /// — i.e. delayed duplicates of a newer report sort before it only if
+  /// they were due earlier. Pair with recycle() to run the report plane
+  /// allocation-free once warm.
   void collect_reports_into(std::size_t period, std::vector<RcmEnvelope>& due);
 
   /// Return drained envelopes to the internal free pool so their vector

@@ -1,7 +1,6 @@
 #include "core/monitor.h"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
 
 #include "common/metrics.h"
@@ -77,21 +76,9 @@ void SystemMonitor::record(std::size_t ra, std::size_t period, std::size_t inter
   }
 }
 
-void SystemMonitor::clear_records() {
-  records_.clear();
-  period_sums_.clear();
-  evicted_rows_ = 0;
-}
-
 RcMonitoringMessage SystemMonitor::report(std::size_t ra, std::size_t period) const {
-  RcMonitoringMessage msg;
-  report_into(ra, period, msg);
-  return msg;
-}
-
-void SystemMonitor::report_into(std::size_t ra, std::size_t period,
-                                RcMonitoringMessage& msg) const {
   if (ra >= ras_) throw std::out_of_range("SystemMonitor::report: bad RA");
+  RcMonitoringMessage msg;
   msg.ra = ra;
   const auto it = period_sums_.find({period, ra});
   if (it != period_sums_.end()) {
@@ -99,6 +86,7 @@ void SystemMonitor::report_into(std::size_t ra, std::size_t period,
   } else {
     msg.performance_sums.assign(slices_, 0.0);
   }
+  return msg;
 }
 
 std::vector<double> SystemMonitor::system_performance_series() const {
@@ -139,22 +127,6 @@ std::vector<double> SystemMonitor::resource_usage_series(std::size_t ra, std::si
   return series;
 }
 
-void SystemMonitor::write_csv(std::ostream& out) const {
-  out << "period,interval,ra,slice,queue,performance,radio,transport,computing,reward\n";
-  for (const auto& row : records_) {
-    for (std::size_t i = 0; i < slices_; ++i) {
-      out << row.period << "," << row.interval << "," << row.ra << "," << i << ",";
-      out << (i < row.queue_lengths.size() ? row.queue_lengths[i] : 0.0) << ",";
-      out << (i < row.performance.size() ? row.performance[i] : 0.0);
-      for (std::size_t k = 0; k < env::kResources; ++k) {
-        const std::size_t idx = i * env::kResources + k;
-        out << "," << (idx < row.action.size() ? row.action[idx] : 0.0);
-      }
-      out << "," << row.reward << "\n";
-    }
-  }
-}
-
 void SystemMonitor::register_user(const UserAssociation& user) {
   if (user.slice >= slices_) throw std::invalid_argument("SystemMonitor: bad slice");
   if (imsi_index_.count(user.imsi) || ip_index_.count(user.ip))
@@ -167,12 +139,6 @@ void SystemMonitor::register_user(const UserAssociation& user) {
 std::size_t SystemMonitor::slice_of_imsi(const std::string& imsi) const {
   const auto it = imsi_index_.find(imsi);
   if (it == imsi_index_.end()) throw std::out_of_range("SystemMonitor: unknown IMSI");
-  return users_[it->second].slice;
-}
-
-std::size_t SystemMonitor::slice_of_ip(const std::string& ip) const {
-  const auto it = ip_index_.find(ip);
-  if (it == ip_index_.end()) throw std::out_of_range("SystemMonitor: unknown IP");
   return users_[it->second].slice;
 }
 

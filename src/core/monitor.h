@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <utility>
@@ -52,12 +51,11 @@ class SystemMonitor {
   /// it when row recording is off, instead of one record() per interval.
   void add_period_sums(std::size_t ra, std::size_t period, const std::vector<double>& sums);
   const std::vector<IntervalRecord>& records() const { return records_; }
-  void clear_records();
 
   /// Bound the row log: once more than `max_rows` rows are held, the
   /// oldest rows are evicted (in recording order). 0 — the default —
   /// retains everything. Eviction only trims the raw rows behind
-  /// records()/write_csv and the interval series; the per-(ra, period)
+  /// records() and the interval series; the per-(ra, period)
   /// running sums feeding report() are kept for the full history, so
   /// RC-M reports stay exact on arbitrarily long runs.
   void set_retention_cap(std::size_t max_rows) { retention_cap_ = max_rows; }
@@ -67,7 +65,7 @@ class SystemMonitor {
 
   /// Disable the per-interval row log entirely (default on). The RC-M
   /// running sums are maintained regardless, so report() stays exact;
-  /// records()/write_csv and the interval series just see no rows. The
+  /// records() and the interval series just see no rows. The
   /// city-scale bench runs with rows off: at hundreds of RAs the row log
   /// is the dominant allocator on the period hot path.
   void set_row_recording(bool enabled) { row_recording_ = enabled; }
@@ -82,18 +80,10 @@ class SystemMonitor {
   void set_period_sum_retention(std::size_t periods) { sum_retention_ = periods; }
   std::size_t period_sum_retention() const { return sum_retention_; }
 
-  /// Export the dataset as CSV (one row per slice per record) for external
-  /// analysis/plotting: period,interval,ra,slice,queue,performance,
-  /// radio,transport,computing,reward.
-  void write_csv(std::ostream& out) const;
-
   /// RC-M report: per-slice performance sums of one RA over one period.
   /// O(slices) — served from running sums maintained at record() time,
   /// never by rescanning the row log.
   RcMonitoringMessage report(std::size_t ra, std::size_t period) const;
-
-  /// report() into a caller-owned message (vector resized in place).
-  void report_into(std::size_t ra, std::size_t period, RcMonitoringMessage& msg) const;
 
   /// System performance (sum of U over slices and RAs) per global interval.
   std::vector<double> system_performance_series() const;
@@ -109,7 +99,6 @@ class SystemMonitor {
   /// --- Association database ---------------------------------------------------
   void register_user(const UserAssociation& user);
   std::size_t slice_of_imsi(const std::string& imsi) const;
-  std::size_t slice_of_ip(const std::string& ip) const;
   std::size_t user_count() const { return users_.size(); }
 
   std::size_t slices() const { return slices_; }

@@ -85,10 +85,4 @@ env::RaCapacity ResourceAutonomy::capacity() {
   return env::measure_capacity(*radio_, *transport_, *computing_);
 }
 
-void ResourceAutonomy::apply_faults(const FaultInjector& faults, std::size_t period) {
-  radio_->set_cqi_blackout(faults.cqi_blackout(period, config_.ra_id));
-  transport_->set_link_failure(faults.link_failure(period, config_.ra_id));
-  computing_->set_slowdown(faults.compute_slowdown(period, config_.ra_id));
-}
-
 }  // namespace edgeslice::core

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fault.h"
 #include "common/rng.h"
 #include "compute/computing_manager.h"
 #include "core/interfaces.h"
@@ -46,12 +45,6 @@ class ResourceAutonomy {
 
   /// Ground-truth capacity of this RA, measured through the managers.
   env::RaCapacity capacity();
-
-  /// Propagate the injector's substrate faults for `period` onto the three
-  /// managers (radio CQI blackout, transport link failure, GPU slowdown).
-  /// With no active fault every hook is reset to healthy, so calling this
-  /// each period both applies and clears conditions.
-  void apply_faults(const FaultInjector& faults, std::size_t period);
 
   radio::RadioManager& radio() { return *radio_; }
   transport::TransportManager& transport() { return *transport_; }

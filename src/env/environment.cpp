@@ -47,13 +47,11 @@ RaEnvironment::RaEnvironment(const RaEnvironmentConfig& config,
   }
 }
 
-SliceQueue RaEnvironment::queue(std::size_t slice) const {
+QueueState RaEnvironment::queue(std::size_t slice) const {
   if (slice >= config_.slices)
     throw std::out_of_range("RaEnvironment::queue: bad slice");
-  SliceQueue q(config_.max_queue);
-  q.restore(queue_length_[slice], queue_credit_[slice], queue_dropped_[slice],
-            queue_arrivals_[slice], queue_departures_[slice]);
-  return q;
+  return QueueState{queue_length_[slice], queue_credit_[slice], queue_dropped_[slice],
+                    queue_arrivals_[slice], queue_departures_[slice]};
 }
 
 void RaEnvironment::set_coordination(const std::vector<double>& z_minus_y) {
@@ -290,10 +288,6 @@ void RaEnvironment::load_state(std::istream& in) {
   const std::vector<double> last_service_time = read_f64_vector(in, kContext);
   if (last_service_time.size() != config_.slices) fail("service-time size mismatch");
 
-  struct QueueState {
-    std::size_t length, dropped, arrivals, departures;
-    double credit;
-  };
   std::vector<QueueState> queue_states(config_.slices);
   for (auto& qs : queue_states) {
     qs.length = static_cast<std::size_t>(read_u64(in, kContext));
@@ -301,8 +295,9 @@ void RaEnvironment::load_state(std::istream& in) {
     qs.dropped = static_cast<std::size_t>(read_u64(in, kContext));
     qs.arrivals = static_cast<std::size_t>(read_u64(in, kContext));
     qs.departures = static_cast<std::size_t>(read_u64(in, kContext));
-    // Pre-validated with SliceQueue::restore's invariants, so the writes
-    // below cannot fail after part of the environment is overwritten.
+    // Pre-validated (backlog within bound, finite non-negative credit, no
+    // more departures than arrivals), so the writes below cannot fail
+    // after part of the environment is overwritten.
     if (qs.length > config_.max_queue) fail("queue backlog exceeds max_queue");
     if (!std::isfinite(qs.credit) || qs.credit < 0.0) fail("bad queue service credit");
     if (qs.departures > qs.arrivals) fail("queue departures exceed arrivals");

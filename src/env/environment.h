@@ -22,7 +22,6 @@
 #include "common/rng.h"
 #include "env/app_model.h"
 #include "env/perf.h"
-#include "env/queue.h"
 #include "env/service_model.h"
 
 namespace edgeslice::env {
@@ -62,6 +61,17 @@ struct RaEnvironmentConfig {
   /// the per-slice linear model knows nothing about other slices). Train
   /// with false, evaluate systems with true.
   bool enforce_capacity_scaling = true;
+};
+
+/// One slice queue's state: backlog, fractional service credit (the
+/// service carry-over that makes a rate of 2.5 tasks/interval depart 2 or
+/// 3 tasks), and the lifetime drop/arrival/departure counters.
+struct QueueState {
+  std::size_t length = 0;
+  double credit = 0.0;
+  std::size_t dropped = 0;
+  std::size_t arrivals = 0;
+  std::size_t departures = 0;
 };
 
 /// Result of advancing the environment by one time interval.
@@ -150,10 +160,10 @@ class RaEnvironment {
 
   const RaEnvironmentConfig& config() const { return config_; }
   std::size_t slice_count() const { return config_.slices; }
-  /// Snapshot of slice `slice`'s queue, materialized from the
-  /// structure-of-arrays state (see below). Returned by value; use
+  /// Snapshot of slice `slice`'s queue, gathered from the
+  /// structure-of-arrays state (see below). Use
   /// queue_length()/queue_lengths() on hot paths.
-  SliceQueue queue(std::size_t slice) const;
+  QueueState queue(std::size_t slice) const;
   /// O(1) direct accessors over the contiguous queue-state arrays.
   std::size_t queue_length(std::size_t slice) const { return queue_length_.at(slice); }
   const std::vector<std::size_t>& queue_lengths() const { return queue_length_; }
@@ -172,8 +182,11 @@ class RaEnvironment {
   /// Per-slice queue state as structure-of-arrays: the period hot path
   /// touches every slice every interval, so lengths/credits live in
   /// contiguous arrays scanned linearly instead of per-object scatter.
-  /// Semantics are exactly SliceQueue's arrive()/serve() (see env/queue.h);
-  /// queue(i) materializes a SliceQueue snapshot for cold-path callers.
+  /// Each step admits arrivals up to max_queue (counting the drops), then
+  /// serves at the step's rate with fractional credit that an idle or
+  /// drained queue forfeits. The one-object reference of these semantics
+  /// is SliceQueue in tests/env/slice_queue.h, which the environment's
+  /// queues are checked against field by field.
   std::vector<std::size_t> queue_length_;
   std::vector<double> queue_credit_;
   std::vector<std::size_t> queue_dropped_;

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/binio.h"
 #include "ipc/frame.h"
@@ -299,7 +300,10 @@ TelemetryEventsPayload decode_telemetry_events(const std::string& bytes) {
     e.ra = static_cast<std::size_t>(read_u64(in, "telemetry event ra"));
     e.slice = static_cast<std::size_t>(read_u64(in, "telemetry event slice"));
     e.worker = static_cast<std::size_t>(read_u64(in, "telemetry event worker"));
-    e.kind = static_cast<obs::EventKind>(read_u8(in, "telemetry event kind"));
+    const std::uint8_t kind = read_u8(in, "telemetry event kind");
+    if (kind > static_cast<std::uint8_t>(obs::kLastEventKind))
+      throw std::runtime_error("telemetry event kind out of range: " + std::to_string(kind));
+    e.kind = static_cast<obs::EventKind>(kind);
     e.value = read_f64(in, "telemetry event value");
     payload.events.push_back(e);
   }

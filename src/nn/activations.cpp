@@ -37,29 +37,6 @@ double activate(double z, Activation a) {
   return z;
 }
 
-double activate_grad(double z, Activation a) {
-  switch (a) {
-    case Activation::Identity: return 1.0;
-    case Activation::Relu: return z > 0.0 ? 1.0 : 0.0;
-    case Activation::LeakyRelu: return z > 0.0 ? 1.0 : kLeakyReluSlope;
-    case Activation::Tanh: {
-      const double t = std::tanh(z);
-      return 1.0 - t * t;
-    }
-    case Activation::Sigmoid: {
-      const double s = 1.0 / (1.0 + std::exp(-z));
-      return s * (1.0 - s);
-    }
-    case Activation::Softplus:
-      return 1.0 / (1.0 + std::exp(-z));
-  }
-  return 1.0;
-}
-
-Matrix activate(const Matrix& z, Activation a) {
-  return z.map([a](double x) { return activate(x, a); });
-}
-
 void activate_assign(Matrix& z, Activation a) {
   // One switch per matrix instead of one indirect call per element; each
   // branch applies exactly the scalar activate(x, a) above.
@@ -119,18 +96,6 @@ void activate_grad_product(const Matrix& cache, const Matrix& grad_out, Activati
       for (std::size_t e = 0; e < n; ++e) dz[e] = (1.0 / (1.0 + std::exp(-y[e]))) * g[e];
       return;
   }
-}
-
-const char* activation_name(Activation a) {
-  switch (a) {
-    case Activation::Identity: return "identity";
-    case Activation::Relu: return "relu";
-    case Activation::LeakyRelu: return "leaky_relu";
-    case Activation::Tanh: return "tanh";
-    case Activation::Sigmoid: return "sigmoid";
-    case Activation::Softplus: return "softplus";
-  }
-  return "?";
 }
 
 }  // namespace edgeslice::nn

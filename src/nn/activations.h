@@ -10,12 +10,9 @@ namespace edgeslice::nn {
 
 enum class Activation { Identity, Relu, LeakyRelu, Tanh, Sigmoid, Softplus };
 
-/// Elementwise forward pass.
-Matrix activate(const Matrix& z, Activation a);
-
-/// In-place forward pass: z <- activate(z). Bit-identical to activate()
-/// (same scalar function per element) without the copy — the hot-path
-/// variant used by allocation-free inference (Mlp::infer_into).
+/// In-place elementwise forward pass: z <- activate(z) — the scalar
+/// activate() below on every element, one switch per matrix (used by
+/// allocation-free inference, Mlp::infer_into).
 void activate_assign(Matrix& z, Activation a);
 
 /// True when activate_grad_product() reads the pre-activation z rather
@@ -29,18 +26,17 @@ inline bool grad_reads_pre_activation(Activation a) { return a == Activation::So
 /// grad_reads_pre_activation(a): the rectifiers select on y > 0 (true
 /// exactly when z > 0) without a branch, and Tanh and Sigmoid reuse y as
 /// tanh(z) and the sigmoid instead of computing them again. Per element
-/// bit-identical to activate_grad(z, a) * g. Throws std::invalid_argument
-/// when `cache` and `grad_out` differ in shape.
+/// bit-identical to activate_grad(z, a) * g, where activate_grad is the
+/// scalar derivative (the reference in tests/nn/matrix_reference.h).
+/// Throws std::invalid_argument when `cache` and `grad_out` differ in
+/// shape.
 void activate_grad_product(const Matrix& cache, const Matrix& grad_out, Activation a,
                            Matrix& out);
 
-/// Scalar versions (used in tests and a few analytic spots).
+/// Scalar forward pass of one element.
 double activate(double z, Activation a);
-double activate_grad(double z, Activation a);
 
 /// Slope of the leaky rectifier's negative branch.
 inline constexpr double kLeakyReluSlope = 0.01;
-
-const char* activation_name(Activation a);
 
 }  // namespace edgeslice::nn

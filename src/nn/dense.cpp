@@ -33,12 +33,6 @@ const Matrix& Dense::forward(const Matrix& x) {
   return cached_output_;
 }
 
-Matrix Dense::infer(const Matrix& x) const {
-  Matrix out;
-  infer_into(x, out);
-  return out;
-}
-
 void Dense::infer_into(const Matrix& x, Matrix& out) const {
   if (active_gemm_backend() != GemmBackend::Avx2) {
     x.matmul_into(weights_, out);

@@ -30,12 +30,9 @@ class Dense {
   const Matrix& forward(const Matrix& x);
 
   /// Forward without caching (inference only; safe to call concurrently
-  /// with a cached training forward pass being alive). A wrapper over
-  /// infer_into() with a fresh output.
-  Matrix infer(const Matrix& x) const;
-
-  /// Allocation-free inference into a caller-owned buffer (reshaped only
-  /// on first use / batch change); `out` must not alias `x`. Under the
+  /// with a cached training forward pass being alive), allocation-free
+  /// into a caller-owned buffer (reshaped only on first use / batch
+  /// change); `out` must not alias `x`. Under the
   /// Avx2 backend this is one fused kernel, act(x W + b) written once
   /// (nn/gemm.h dense_avx2); under Scalar it is the product, a bias pass
   /// and activate_assign. Either way it equals forward()'s output under

@@ -1,6 +1,6 @@
 // Runtime-dispatched GEMM backends for the nn substrate.
 //
-// Every Matrix product (matmul, transposed_matmul, matmul_transposed,
+// Every Matrix product (matmul, matmul_into, matmul_transposed,
 // add_transposed_matmul) routes through one of two backends:
 //
 //   Scalar — the always-available reference implementation: k-tiled

@@ -1,6 +1,5 @@
 #include "nn/matrix.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "nn/gemm.h"
@@ -23,18 +22,6 @@ Matrix Matrix::row(const std::vector<double>& v) {
   return m;
 }
 
-Matrix Matrix::column(const std::vector<double>& v) {
-  Matrix m(v.size(), 1);
-  m.data_ = v;
-  return m;
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 std::vector<double> Matrix::row_vector(std::size_t r) const {
   if (r >= rows_) throw std::out_of_range("Matrix::row_vector");
   return {data_.begin() + static_cast<std::ptrdiff_t>(r * cols_),
@@ -44,13 +31,6 @@ std::vector<double> Matrix::row_vector(std::size_t r) const {
 void Matrix::set_row(std::size_t r, const std::vector<double>& v) {
   if (r >= rows_ || v.size() != cols_) throw std::out_of_range("Matrix::set_row");
   std::copy(v.begin(), v.end(), data_.begin() + static_cast<std::ptrdiff_t>(r * cols_));
-}
-
-Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
 }
 
 Matrix Matrix::matmul(const Matrix& other) const {
@@ -75,14 +55,6 @@ void Matrix::matmul_into(const Matrix& other, Matrix& out) const {
     detail::gemm_nn_scalar(data_.data(), other.data_.data(), out.data_.data(), rows_,
                            cols_, other.cols_);
   }
-}
-
-Matrix Matrix::transposed_matmul(const Matrix& other) const {
-  if (rows_ != other.rows_)
-    throw std::invalid_argument("Matrix::transposed_matmul: shape mismatch");
-  Matrix out(cols_, other.cols_);
-  out.add_transposed_matmul(*this, other);
-  return out;
 }
 
 Matrix& Matrix::add_transposed_matmul(const Matrix& a, const Matrix& b) {
@@ -119,54 +91,10 @@ void Matrix::check_same_shape(const Matrix& other) const {
     throw std::invalid_argument("Matrix: shape mismatch");
 }
 
-Matrix Matrix::operator+(const Matrix& other) const {
-  check_same_shape(other);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  check_same_shape(other);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::hadamard(const Matrix& other) const {
-  check_same_shape(other);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator*(double s) const {
-  Matrix out = *this;
-  for (auto& x : out.data_) x *= s;
-  return out;
-}
-
 Matrix& Matrix::operator+=(const Matrix& other) {
   check_same_shape(other);
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  check_same_shape(other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (auto& x : data_) x *= s;
-  return *this;
-}
-
-Matrix Matrix::add_row_broadcast(const Matrix& bias) const {
-  Matrix out = *this;
-  out.add_row_broadcast_assign(bias);
-  return out;
 }
 
 Matrix& Matrix::add_row_broadcast_assign(const Matrix& bias) {
@@ -191,22 +119,10 @@ Matrix Matrix::column_sums() const {
   return out;
 }
 
-Matrix Matrix::map(const std::function<double(double)>& f) const {
-  Matrix out = *this;
-  for (auto& x : out.data_) x = f(x);
-  return out;
-}
-
 double Matrix::total() const {
   double acc = 0.0;
   for (double x : data_) acc += x;
   return acc;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
 }
 
 void Matrix::fill(double v) {

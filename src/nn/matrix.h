@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <vector>
 
@@ -31,10 +30,6 @@ class Matrix {
 
   /// A 1xN row vector view of a std::vector.
   static Matrix row(const std::vector<double>& v);
-  /// An Nx1 column vector.
-  static Matrix column(const std::vector<double>& v);
-  /// Identity matrix.
-  static Matrix identity(std::size_t n);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -52,8 +47,6 @@ class Matrix {
   /// Overwrite the r-th row.
   void set_row(std::size_t r, const std::vector<double>& v);
 
-  Matrix transpose() const;
-
   /// Matrix product this * other. Dimension mismatch throws.
   Matrix matmul(const Matrix& other) const;
 
@@ -64,33 +57,20 @@ class Matrix {
   /// Aliasing `out` with either operand throws.
   void matmul_into(const Matrix& other, Matrix& out) const;
 
-  /// this^T * other without materializing the transpose (the backprop
-  /// weight-gradient product X^T * dZ). Contributions accumulate in
-  /// ascending-k order, matching transpose().matmul(other) bit-for-bit.
-  Matrix transposed_matmul(const Matrix& other) const;
-
   /// this * other^T without materializing the transpose (the backprop
   /// input-gradient product dZ * W^T).
   Matrix matmul_transposed(const Matrix& other) const;
 
-  /// Accumulate a.transposed_matmul(b) into this (dimension mismatch
-  /// throws). Saves the temporary in gradient accumulation.
+  /// this += a^T * b without materializing the transpose (the backprop
+  /// weight-gradient product X^T * dZ, accumulated; dimension mismatch
+  /// throws). Contributions accumulate in ascending-k order, so into zeros
+  /// it matches the materialized transpose times b bit-for-bit.
   Matrix& add_transposed_matmul(const Matrix& a, const Matrix& b);
 
-  /// Elementwise operations (dimension mismatch throws).
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix hadamard(const Matrix& other) const;
-  Matrix operator*(double s) const;
-
+  /// Elementwise sum (dimension mismatch throws).
   Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  Matrix& operator*=(double s);
 
-  /// Add a 1xC row vector to every row (broadcast bias add).
-  Matrix add_row_broadcast(const Matrix& bias) const;
-
-  /// In-place broadcast bias add.
+  /// Add a 1xC row vector to every row in place (broadcast bias add).
   Matrix& add_row_broadcast_assign(const Matrix& bias);
 
   /// Overwrite columns [c0, c0 + src.cols()) with src (row counts must
@@ -101,14 +81,8 @@ class Matrix {
   /// Column sums as a 1xC matrix.
   Matrix column_sums() const;
 
-  /// Apply f to every element, returning a new matrix.
-  Matrix map(const std::function<double(double)>& f) const;
-
   /// Sum of all elements.
   double total() const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
   void fill(double v);
 

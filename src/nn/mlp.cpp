@@ -154,8 +154,6 @@ void Mlp::soft_update_from(const Mlp& source, double tau) {
   }
 }
 
-void Mlp::copy_parameters_from(const Mlp& source) { soft_update_from(source, 1.0); }
-
 std::vector<double> Mlp::flat_parameters() const {
   std::vector<double> theta;
   theta.reserve(parameter_count());

@@ -54,9 +54,6 @@ class Mlp {
   /// Used for the DDPG target networks.
   void soft_update_from(const Mlp& source, double tau);
 
-  /// Hard copy of parameters.
-  void copy_parameters_from(const Mlp& source);
-
   /// Flattened parameter vector (for TRPO's natural-gradient updates).
   std::vector<double> flat_parameters() const;
   void set_flat_parameters(const std::vector<double>& theta);

@@ -80,11 +80,6 @@ void TelemetryAggregator::reset(std::size_t slots) {
   slots_.assign(slots, SlotState{});
 }
 
-std::size_t TelemetryAggregator::slots() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
-}
-
 void TelemetryAggregator::on_metrics(std::size_t slot, const MetricsSnapshot& snapshot) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (slot >= slots_.size()) return;

@@ -44,7 +44,6 @@ class TelemetryAggregator {
  public:
   /// Size (or resize) the per-slot state, dropping everything held.
   void reset(std::size_t slots);
-  std::size_t slots() const;
 
   /// Merge one worker's cumulative metrics snapshot: every series is
   /// republished into the global registry under a worker="<slot>" label,

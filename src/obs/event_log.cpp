@@ -53,30 +53,9 @@ const char* event_kind_name(EventKind kind) {
   return "?";
 }
 
-bool event_kind_is_fault(EventKind kind) {
-  switch (kind) {
-    case EventKind::RcmDropped:
-    case EventKind::RcmDelayed:
-    case EventKind::RclDropped:
-    case EventKind::FaultRaCrash:
-    case EventKind::FaultCqiBlackout:
-    case EventKind::FaultLinkFailure:
-    case EventKind::FaultComputeSlowdown:
-      return true;
-    default:
-      return false;
-  }
-}
-
 EventLog::EventLog(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       slots_(std::make_unique<Slot[]>(capacity_)) {}
-
-void EventLog::set_capacity(std::size_t capacity) {
-  capacity_ = capacity == 0 ? 1 : capacity;
-  slots_ = std::make_unique<Slot[]>(capacity_);
-  next_.store(0, std::memory_order_relaxed);
-}
 
 void EventLog::set_period(std::size_t period) {
   period_.store(period, std::memory_order_relaxed);
@@ -381,8 +360,6 @@ void set_crash_dump_path(const std::string& path) {
   }
   install_crash_handlers();
 }
-
-std::string crash_dump_path() { return g_crash_dump_path; }
 
 void set_crash_flush_hook(void (*hook)()) {
   global_event_log();

@@ -61,21 +61,19 @@ enum class EventKind : std::uint8_t {
                      // (worker = slot, value = snapshots merged before the gap)
 };
 
+/// The highest EventKind code. Codes are append-only; decoders reject any
+/// byte above this one.
+inline constexpr EventKind kLastEventKind = EventKind::TelemetryGap;
+
 /// Stable numeric codes for CoordinatorReject's `value` field, mirroring
 /// the coordinator.reject.<cause> counter names.
 enum class RejectCause : std::uint8_t {
   Shape = 0,
   NonFinite = 1,
   MaskSize = 2,
-  ReportCount = 3,
-  MalformedReport = 4,
-  DuplicateReport = 5,
 };
 
 const char* event_kind_name(EventKind kind);
-/// True for the kinds that represent an injected fault taking effect
-/// (bus losses/delays and the four substrate fault kinds).
-bool event_kind_is_fault(EventKind kind);
 
 /// One flight-recorder entry. Fields the writer does not know are left at
 /// kNone and exported as JSON null.
@@ -102,9 +100,6 @@ class EventLog {
 
   explicit EventLog(std::size_t capacity = kDefaultCapacity);
 
-  /// Resize the ring, dropping its contents. NOT safe against concurrent
-  /// writers — call at startup or between runs (tests).
-  void set_capacity(std::size_t capacity);
   std::size_t capacity() const { return capacity_; }
 
   /// The period label record() stamps onto events whose writer left
@@ -201,7 +196,6 @@ void reset_global_event_log_for_fork();
 /// dump the global event log as JSONL to `path` before the process dies.
 /// The path is copied into static storage; the handlers allocate nothing.
 void set_crash_dump_path(const std::string& path);
-std::string crash_dump_path();
 
 /// Register a hook the terminate/fatal-signal handlers run before the
 /// JSONL dump — the worker telemetry plane flushes its event window to

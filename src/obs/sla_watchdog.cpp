@@ -32,11 +32,6 @@ std::string SlaWatchdog::metric_suffix(std::size_t slice) const {
 }
 
 void SlaWatchdog::evaluate(std::size_t period,
-                           const std::vector<double>& slice_performance) {
-  evaluate(period, slice_performance, {});
-}
-
-void SlaWatchdog::evaluate(std::size_t period,
                            const std::vector<double>& slice_performance,
                            const std::vector<std::size_t>& worst_ra) {
   if (slice_performance.size() != specs_.size())
@@ -82,12 +77,6 @@ double SlaWatchdog::violation_rate(std::size_t slice) const {
   if (periods_evaluated_ == 0) return 0.0;
   return static_cast<double>(violations_[slice]) /
          static_cast<double>(periods_evaluated_);
-}
-
-void SlaWatchdog::reset() {
-  periods_evaluated_ = 0;
-  std::fill(violations_.begin(), violations_.end(), 0);
-  std::fill(anomaly_.begin(), anomaly_.end(), 0.0);
 }
 
 }  // namespace edgeslice::obs

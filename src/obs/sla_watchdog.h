@@ -47,12 +47,10 @@ class SlaWatchdog {
   /// network-wide performance sum of slice i over the period (what
   /// SystemMonitor::report provides per RA, summed over RAs). Updates
   /// counters/gauges/anomaly scores and emits sla.violation events.
-  void evaluate(std::size_t period, const std::vector<double>& slice_performance);
-
-  /// As above, with RA attribution: `worst_ra[i]` is the RA contributing
-  /// least to slice i this period (the first place to look, stamped into
-  /// the violation event's `ra` field). Empty worst_ra means unknown
-  /// (events carry ra = kNone, exported as null).
+  /// `worst_ra[i]` is the RA contributing least to slice i this period
+  /// (the first place to look, stamped into the violation event's `ra`
+  /// field). Empty worst_ra means unknown (events carry ra = kNone,
+  /// exported as null).
   void evaluate(std::size_t period, const std::vector<double>& slice_performance,
                 const std::vector<std::size_t>& worst_ra);
 
@@ -68,8 +66,6 @@ class SlaWatchdog {
   /// 0 while healthy, rises toward the (normalized) violation depth under
   /// sustained breach, decays geometrically after recovery.
   double anomaly_score(std::size_t slice) const { return anomaly_[slice]; }
-
-  void reset();
 
  private:
   std::string metric_suffix(std::size_t slice) const;

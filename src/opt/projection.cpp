@@ -1,16 +1,9 @@
 #include "opt/projection.h"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
 namespace edgeslice::opt {
-
-std::vector<double> project_halfspace_sum_ge(const std::vector<double>& c, double bound) {
-  std::vector<double> z;
-  project_halfspace_sum_ge_into(c, bound, z);
-  return z;
-}
 
 void project_halfspace_sum_ge_into(const std::vector<double>& c, double bound,
                                    std::vector<double>& z) {
@@ -20,45 +13,6 @@ void project_halfspace_sum_ge_into(const std::vector<double>& c, double bound,
   if (total >= bound) return;
   const double shift = (bound - total) / static_cast<double>(c.size());
   for (auto& v : z) v += shift;
-}
-
-std::vector<double> project_halfspace_sum_le(const std::vector<double>& c, double bound) {
-  if (c.empty()) throw std::invalid_argument("project_halfspace_sum_le: empty input");
-  const double total = std::accumulate(c.begin(), c.end(), 0.0);
-  if (total <= bound) return c;
-  const double shift = (total - bound) / static_cast<double>(c.size());
-  std::vector<double> z = c;
-  for (auto& v : z) v -= shift;
-  return z;
-}
-
-std::vector<double> project_box(const std::vector<double>& c, double lo, double hi) {
-  if (lo > hi) throw std::invalid_argument("project_box: lo > hi");
-  std::vector<double> z = c;
-  for (auto& v : z) v = std::clamp(v, lo, hi);
-  return z;
-}
-
-std::vector<double> project_simplex(const std::vector<double>& c, double total) {
-  if (c.empty()) throw std::invalid_argument("project_simplex: empty input");
-  if (total <= 0.0) throw std::invalid_argument("project_simplex: total must be > 0");
-  std::vector<double> u = c;
-  std::sort(u.begin(), u.end(), std::greater<>());
-  double cumulative = 0.0;
-  double theta = 0.0;
-  std::size_t rho = 0;
-  for (std::size_t i = 0; i < u.size(); ++i) {
-    cumulative += u[i];
-    const double candidate = (cumulative - total) / static_cast<double>(i + 1);
-    if (u[i] - candidate > 0.0) {
-      rho = i + 1;
-      theta = candidate;
-    }
-  }
-  (void)rho;
-  std::vector<double> z = c;
-  for (auto& v : z) v = std::max(0.0, v - theta);
-  return z;
 }
 
 }  // namespace edgeslice::opt

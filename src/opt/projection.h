@@ -1,36 +1,23 @@
-// Euclidean projections used by the performance coordinator.
+// The Euclidean projection used by the performance coordinator.
 //
 // Problem P2 in the paper (Eq. 11) decomposes per slice i into
 //     min_z ||c - z||^2   s.t.  sum_j z_j >= b,
 // whose solution is the projection of c onto a half-space — closed form.
 // The coordinator uses this instead of a generic convex solver (the paper
-// used CVXPY); opt/qp.h provides an iterative solver to cross-check.
+// used CVXPY); tests/opt/projection_qp.h holds the iterative solver that
+// cross-checks it.
 #pragma once
 
 #include <vector>
 
 namespace edgeslice::opt {
 
-/// Project c onto { z : sum(z) >= bound }. If c already satisfies the
-/// constraint it is returned unchanged; otherwise the deficit is spread
-/// equally across coordinates (the closed-form Euclidean projection).
-std::vector<double> project_halfspace_sum_ge(const std::vector<double>& c, double bound);
-
-/// project_halfspace_sum_ge() into a caller-owned buffer (resized to
-/// c.size()), bit-identical — the coordinator's per-period solve reuses
-/// one buffer and never allocates. `z` must not alias `c`.
+/// Project c onto { z : sum(z) >= bound } into a caller-owned buffer
+/// (resized to c.size()). If c already satisfies the constraint z = c;
+/// otherwise the deficit is spread equally across coordinates (the
+/// closed-form Euclidean projection). The coordinator's per-period solve
+/// reuses one buffer and never allocates. `z` must not alias `c`.
 void project_halfspace_sum_ge_into(const std::vector<double>& c, double bound,
                                    std::vector<double>& z);
-
-/// Project c onto { z : sum(z) <= bound } (the mirror half-space).
-std::vector<double> project_halfspace_sum_le(const std::vector<double>& c, double bound);
-
-/// Clamp every coordinate into [lo, hi].
-std::vector<double> project_box(const std::vector<double>& c, double lo, double hi);
-
-/// Project c onto the scaled simplex { z >= 0 : sum(z) = total } using the
-/// sorting algorithm of Held/Wolfe/Crowder. Used when normalizing actions
-/// that over-subscribe a resource.
-std::vector<double> project_simplex(const std::vector<double>& c, double total = 1.0);
 
 }  // namespace edgeslice::opt

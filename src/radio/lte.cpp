@@ -31,8 +31,4 @@ double tbs_bits(std::size_t prbs, std::size_t cqi) {
   return static_cast<double>(prbs) * kDataResourceElementsPerPrbPerTti * cqi_efficiency(cqi);
 }
 
-double peak_throughput_mbps(std::size_t prbs, std::size_t cqi) {
-  return tbs_bits(prbs, cqi) * 1000.0 / 1e6;
-}
-
 }  // namespace edgeslice::radio

@@ -29,8 +29,4 @@ inline constexpr double kDataResourceElementsPerPrbPerTti = 12.0 * 14.0 * 0.75;
 /// Transport block size in bits for `prbs` PRBs at CQI `cqi` in one TTI.
 double tbs_bits(std::size_t prbs, std::size_t cqi);
 
-/// Peak PDSCH throughput in Mbit/s for a full grant of `prbs` at `cqi`
-/// (1000 TTIs per second).
-double peak_throughput_mbps(std::size_t prbs, std::size_t cqi);
-
 }  // namespace edgeslice::radio

@@ -92,7 +92,7 @@ std::vector<double> RadioManager::run(std::size_t ttis, Rng& rng) {
     demands.reserve(users_.size());
     for (auto& [id, user] : users_) {
       user.channel.step(rng);
-      if (blackout_ || user.backlog_bits <= 0.0) continue;
+      if (user.backlog_bits <= 0.0) continue;
       demands.push_back(UserDemand{id, user.slice, user.channel.cqi(), user.backlog_bits});
     }
     if (demands.empty()) continue;
@@ -110,7 +110,6 @@ std::vector<double> RadioManager::run(std::size_t ttis, Rng& rng) {
 
 double RadioManager::slice_capacity_bits(std::size_t slice, double seconds,
                                          std::size_t cqi) const {
-  if (blackout_) return 0.0;
   const std::size_t prbs = slice_prbs(slice);
   return tbs_bits(prbs, cqi) * seconds * 1000.0;  // 1000 TTIs per second
 }

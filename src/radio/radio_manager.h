@@ -64,13 +64,6 @@ class RadioManager {
   /// dataset generator where per-TTI simulation would be wasteful.
   double slice_capacity_bits(std::size_t slice, double seconds, std::size_t cqi = 9) const;
 
-  /// --- Fault hook ---------------------------------------------------------
-  /// CQI blackout (deep fade): while active, no transport blocks decode —
-  /// scheduling rounds serve zero bits and capacity reads zero. Channel
-  /// models keep advancing so the RNG stream is unperturbed by the fault.
-  void set_cqi_blackout(bool active) { blackout_ = active; }
-  bool cqi_blackout() const { return blackout_; }
-
   std::size_t total_prbs() const { return scheduler_.total_prbs(); }
   std::size_t slice_count() const { return slice_share_.size(); }
 
@@ -82,7 +75,6 @@ class RadioManager {
   };
 
   RadioManagerConfig config_;
-  bool blackout_ = false;
   std::vector<double> slice_share_;
   SliceAwareScheduler scheduler_;
   std::map<std::string, std::size_t> imsi_to_slice_;

@@ -106,14 +106,6 @@ void GaussianPolicy::accumulate_entropy_gradient(double coefficient) {
   }
 }
 
-double GaussianPolicy::entropy() const {
-  double h = 0.0;
-  for (std::size_t k = 0; k < log_std_.cols(); ++k) {
-    h += log_std_(0, k) + 0.5 + kHalfLog2Pi;
-  }
-  return h;
-}
-
 double GaussianPolicy::mean_kl(const nn::Matrix& old_means,
                                const std::vector<double>& old_log_std,
                                const nn::Matrix& states) const {
@@ -190,12 +182,6 @@ std::vector<double> GaussianPolicy::flat_gradients() const {
 
 std::size_t GaussianPolicy::parameter_count() const {
   return mean_net_.parameter_count() + log_std_.size();
-}
-
-void GaussianPolicy::set_log_std(const std::vector<double>& v) {
-  if (v.size() != log_std_.cols())
-    throw std::invalid_argument("GaussianPolicy::set_log_std: size mismatch");
-  for (std::size_t k = 0; k < v.size(); ++k) log_std_(0, k) = v[k];
 }
 
 }  // namespace edgeslice::rl

@@ -53,9 +53,6 @@ class GaussianPolicy {
   /// derivative is 1 per dimension).
   void accumulate_entropy_gradient(double coefficient);
 
-  /// Policy entropy (state-independent for this family).
-  double entropy() const;
-
   /// Analytic KL(old || this) averaged over states, where `old_means` are the
   /// old policy's means on the same states and `old_log_std` its log-stds.
   double mean_kl(const nn::Matrix& old_means, const std::vector<double>& old_log_std,
@@ -78,7 +75,6 @@ class GaussianPolicy {
   nn::Mlp& mean_net() { return mean_net_; }
   const nn::Mlp& mean_net() const { return mean_net_; }
   std::vector<double> log_std() const { return log_std_.row_vector(0); }
-  void set_log_std(const std::vector<double>& v);
 
  private:
   nn::Mlp mean_net_;

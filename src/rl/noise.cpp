@@ -12,15 +12,4 @@ std::vector<double> DecayingGaussianNoise::sample(Rng& rng) {
   return noise;
 }
 
-std::vector<double> OrnsteinUhlenbeckNoise::sample(Rng& rng) {
-  for (auto& x : state_) {
-    x += theta_ * (0.0 - x) * dt_ + sigma_ * std::sqrt(dt_) * rng.normal();
-  }
-  return state_;
-}
-
-void OrnsteinUhlenbeckNoise::reset() {
-  std::fill(state_.begin(), state_.end(), 0.0);
-}
-
 }  // namespace edgeslice::rl

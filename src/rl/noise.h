@@ -2,8 +2,7 @@
 //
 // The paper adds decaying Gaussian noise to actions during training:
 // starting from N(0,1) and decaying by factor 0.9999 per update step
-// (Sec. VI-A). An Ornstein-Uhlenbeck process is provided as the classic
-// DDPG alternative for ablations.
+// (Sec. VI-A).
 #pragma once
 
 #include <vector>
@@ -29,22 +28,6 @@ class DecayingGaussianNoise {
   double sigma_;
   double decay_;
   double min_sigma_;
-};
-
-class OrnsteinUhlenbeckNoise {
- public:
-  OrnsteinUhlenbeckNoise(std::size_t dim, double theta = 0.15, double sigma = 0.2,
-                         double dt = 1.0)
-      : state_(dim, 0.0), theta_(theta), sigma_(sigma), dt_(dt) {}
-
-  std::vector<double> sample(Rng& rng);
-  void reset();
-
- private:
-  std::vector<double> state_;
-  double theta_;
-  double sigma_;
-  double dt_;
 };
 
 }  // namespace edgeslice::rl

@@ -27,15 +27,6 @@ char* put_le(char* p, std::uint64_t v, int bytes) {
 
 }  // namespace
 
-const char* decide_status_name(std::uint32_t status) {
-  switch (status) {
-    case kDecideOk: return "ok";
-    case kDecideBadRequest: return "bad_request";
-    case kDecideShed: return "shed";
-  }
-  return "unknown";
-}
-
 std::string encode_decide_request(const DecideRequestPayload& payload) {
   std::ostringstream out;
   write_u64(out, payload.request_id);

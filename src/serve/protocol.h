@@ -25,8 +25,6 @@ inline constexpr std::uint32_t kDecideOk = 0;
 inline constexpr std::uint32_t kDecideBadRequest = 400;  // wrong observation dim
 inline constexpr std::uint32_t kDecideShed = 429;        // admission control
 
-const char* decide_status_name(std::uint32_t status);
-
 /// Hostile-input cap on a request's observation length, checked before
 /// any allocation. Real observations are tens of doubles (state Eq. 13).
 inline constexpr std::uint64_t kMaxObservationDim = 1u << 20;

@@ -82,7 +82,6 @@ double TransportManager::slice_capacity_bits(std::size_t slice, double seconds) 
   if (seconds < 0.0) throw std::invalid_argument("TransportManager: negative duration");
   const double outage = std::min(pending_outage_s_[slice], seconds);
   pending_outage_s_[slice] -= outage;
-  if (link_failed_) return 0.0;
   const double effective_seconds = seconds - outage;
   return slice_rate_mbps(slice) * 1e6 * effective_seconds;
 }

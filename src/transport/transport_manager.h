@@ -48,20 +48,12 @@ class TransportManager {
   /// End-to-end forwarded rate for an offered load (diagnostics).
   double offered_load_rate(std::size_t slice, double mbps) const;
 
-  /// --- Fault hook ---------------------------------------------------------
-  /// RAN <-> edge-server link failure: while active no slice can move
-  /// bits, regardless of meter configuration. Reconfiguration state and
-  /// pending outage accounting are preserved across the failure.
-  void set_link_failure(bool active) { link_failed_ = active; }
-  bool link_failed() const { return link_failed_; }
-
   double total_outage_seconds() const { return controller_.total_outage_seconds(); }
   std::size_t slice_count() const { return shares_.size(); }
   const SdnController& controller() const { return controller_; }
 
  private:
   TransportManagerConfig config_;
-  bool link_failed_ = false;
   std::vector<std::unique_ptr<OpenFlowSwitch>> switches_;
   SdnController controller_;
   std::vector<double> shares_;

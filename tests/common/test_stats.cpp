@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 
 namespace edgeslice {
@@ -16,10 +18,6 @@ TEST(Stats, StddevKnownValue) {
   // Sample stddev of {2,4,4,4,5,5,7,9} is ~2.138.
   EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.13809, 1e-4);
   EXPECT_DOUBLE_EQ(stddev({5.0}), 0.0);
-}
-
-TEST(Stats, SumBasic) {
-  EXPECT_DOUBLE_EQ(sum({1.5, 2.5, -1.0}), 3.0);
 }
 
 TEST(Stats, PercentileInterpolates) {
@@ -57,40 +55,6 @@ TEST(Stats, EcdfAtThreshold) {
   EXPECT_DOUBLE_EQ(ecdf_at(xs, 10.0), 1.0);
 }
 
-TEST(Stats, EcdfPointsMonotone) {
-  Rng rng(1);
-  const auto xs = rng.normals(500);
-  const auto pts = ecdf_points(xs, 10);
-  ASSERT_EQ(pts.size(), 10u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LE(pts[i - 1].first, pts[i].first);
-    EXPECT_LT(pts[i - 1].second, pts[i].second);
-  }
-  EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
-}
-
-TEST(Stats, EcdfPointsWithMorePointsThanSamples) {
-  // Requesting more points than samples must still return `points` pairs,
-  // monotone, repeating sample values rather than reading out of range.
-  const auto pts = ecdf_points({1.0, 2.0}, 5);
-  ASSERT_EQ(pts.size(), 5u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LE(pts[i - 1].first, pts[i].first);
-    EXPECT_LT(pts[i - 1].second, pts[i].second);
-  }
-  EXPECT_DOUBLE_EQ(pts.front().first, 1.0);
-  EXPECT_DOUBLE_EQ(pts.back().first, 2.0);
-  EXPECT_DOUBLE_EQ(pts.back().second, 1.0);
-}
-
-TEST(Stats, EcdfPointsDegenerateInputs) {
-  EXPECT_TRUE(ecdf_points({}, 10).empty());
-  EXPECT_TRUE(ecdf_points({1.0, 2.0}, 0).empty());
-  const auto single = ecdf_points({3.0}, 3);
-  ASSERT_EQ(single.size(), 3u);
-  for (const auto& [value, prob] : single) EXPECT_DOUBLE_EQ(value, 3.0);
-}
-
 TEST(RunningStat, MatchesBatchStats) {
   Rng rng(2);
   const auto xs = rng.normals(1000, 5.0, 2.0);
@@ -98,7 +62,9 @@ TEST(RunningStat, MatchesBatchStats) {
   for (double x : xs) rs.add(x);
   EXPECT_EQ(rs.count(), xs.size());
   EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-9);
+  // Welford's m2 is the sum of squared deviations: m2 / (n - 1) is the
+  // sample variance.
+  EXPECT_NEAR(std::sqrt(rs.m2() / static_cast<double>(rs.count() - 1)), stddev(xs), 1e-9);
 }
 
 TEST(RunningStat, TracksMinMax) {
@@ -113,7 +79,7 @@ TEST(RunningStat, TracksMinMax) {
 TEST(RunningStat, EmptyIsZero) {
   RunningStat rs;
   EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(rs.m2(), 0.0);
   // Documented before-first-add behavior: min/max read as 0 until primed.
   EXPECT_EQ(rs.count(), 0u);
   EXPECT_DOUBLE_EQ(rs.min(), 0.0);
@@ -132,35 +98,6 @@ TEST(RunningStat, FirstAddPrimesMinMax) {
   negative.add(-8.0);
   EXPECT_DOUBLE_EQ(negative.max(), -3.0);
   EXPECT_DOUBLE_EQ(negative.min(), -8.0);
-}
-
-TEST(Ema, ValueBeforePrimingIsZero) {
-  Ema ema(0.9);
-  EXPECT_TRUE(ema.empty());
-  EXPECT_DOUBLE_EQ(ema.value(), 0.0);
-  // Priming takes the first sample verbatim, ignoring alpha.
-  EXPECT_DOUBLE_EQ(ema.add(-7.0), -7.0);
-  EXPECT_FALSE(ema.empty());
-}
-
-TEST(Ema, FirstSamplePrimes) {
-  Ema ema(0.5);
-  EXPECT_TRUE(ema.empty());
-  ema.add(10.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 10.0);
-}
-
-TEST(Ema, ConvergesToConstant) {
-  Ema ema(0.3);
-  for (int i = 0; i < 100; ++i) ema.add(4.0);
-  EXPECT_NEAR(ema.value(), 4.0, 1e-9);
-}
-
-TEST(Ema, SmoothsSteps) {
-  Ema ema(0.5);
-  ema.add(0.0);
-  ema.add(10.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 5.0);
 }
 
 }  // namespace

@@ -28,13 +28,13 @@ TEST_P(ConsensusSweep, TrackingAgentsReachConsensus) {
   // floor representing finite resources.
   const double floor = u_min;  // an RA can at worst deliver the whole SLA
   nn::Matrix u(slices, ras);
+  RcLearningMessage coordination;
   for (int iteration = 0; iteration < 60; ++iteration) {
     for (std::size_t i = 0; i < slices; ++i) {
       for (std::size_t j = 0; j < ras; ++j) {
+        coordinator.coordination_for_into(j, coordination);
         const double target =
-            coordinator.coordination_for(j).z_minus_y.empty()
-                ? 0.0
-                : coordinator.coordination_for(j).z_minus_y[i];
+            coordination.z_minus_y.empty() ? 0.0 : coordination.z_minus_y[i];
         u(i, j) = std::clamp(target, floor, 0.0);
       }
     }

@@ -135,11 +135,17 @@ RcMonitoringMessage make_report(std::size_t ra, std::vector<double> sums) {
   return msg;
 }
 
+std::vector<RcmEnvelope> collect(MessageBus& bus, std::size_t period) {
+  std::vector<RcmEnvelope> due;
+  bus.collect_reports_into(period, due);
+  return due;
+}
+
 TEST(MessageBus, LosslessWithoutInjectorAndSequenced) {
   MessageBus bus;
   bus.post_report(0, make_report(0, {-1.0, -2.0}));
   bus.post_report(0, make_report(1, {-3.0, -4.0}));
-  const auto due = bus.collect_reports(0);
+  const auto due = collect(bus, 0);
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].seq, 0u);
   EXPECT_EQ(due[1].seq, 1u);
@@ -157,7 +163,7 @@ TEST(MessageBus, DropsAndCounts) {
   MessageBus bus(&injector);
   bus.post_report(0, make_report(0, {-1.0}));
   bus.post_report(0, make_report(1, {-2.0}));
-  const auto due = bus.collect_reports(0);
+  const auto due = collect(bus, 0);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].message.ra, 1u);
   EXPECT_EQ(bus.stats().rcm_dropped, 1u);
@@ -170,11 +176,11 @@ TEST(MessageBus, DelayedReportSurfacesLaterInOrder) {
   FaultInjector injector{plan};
   MessageBus bus(&injector);
   bus.post_report(0, make_report(0, {-1.0}));
-  EXPECT_TRUE(bus.collect_reports(0).empty());
+  EXPECT_TRUE(collect(bus, 0).empty());
   EXPECT_EQ(bus.in_flight(), 1u);
-  EXPECT_TRUE(bus.collect_reports(1).empty());
+  EXPECT_TRUE(collect(bus, 1).empty());
   bus.post_report(2, make_report(0, {-9.0}));
-  const auto due = bus.collect_reports(2);
+  const auto due = collect(bus, 2);
   ASSERT_EQ(due.size(), 2u);
   // The delayed period-0 report sorts before the fresh period-2 report.
   EXPECT_EQ(due[0].sent_period, 0u);

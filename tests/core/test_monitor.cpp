@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
@@ -110,10 +109,8 @@ TEST(Monitor, UserAssociationByImsiAndIp) {
   monitor.register_user(UserAssociation{"310170000000001", "10.0.0.1", 0});
   monitor.register_user(UserAssociation{"310170000000002", "10.0.1.1", 1});
   EXPECT_EQ(monitor.slice_of_imsi("310170000000001"), 0u);
-  EXPECT_EQ(monitor.slice_of_ip("10.0.1.1"), 1u);
   EXPECT_EQ(monitor.user_count(), 2u);
   EXPECT_THROW(monitor.slice_of_imsi("nope"), std::out_of_range);
-  EXPECT_THROW(monitor.slice_of_ip("9.9.9.9"), std::out_of_range);
 }
 
 TEST(Monitor, DuplicateIdentityRejected) {
@@ -129,22 +126,6 @@ TEST(Monitor, BadSliceInAssociationRejected) {
   SystemMonitor monitor(2, 1);
   EXPECT_THROW(monitor.register_user(UserAssociation{"x", "y", 7}),
                std::invalid_argument);
-}
-
-TEST(Monitor, CsvExportHasRowPerSlice) {
-  SystemMonitor monitor(2, 1);
-  env::StepResult step = make_step({-1, -2}, {3, 4});
-  monitor.record(0, 0, 0, step, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
-  std::stringstream out;
-  monitor.write_csv(out);
-  std::string line;
-  std::getline(out, line);
-  EXPECT_EQ(line,
-            "period,interval,ra,slice,queue,performance,radio,transport,computing,reward");
-  std::getline(out, line);
-  EXPECT_EQ(line, "0,0,0,0,3,-1,0.1,0.2,0.3,-1");
-  std::getline(out, line);
-  EXPECT_EQ(line, "0,0,0,1,4,-2,0.4,0.5,0.6,-1");
 }
 
 // Brute-force reference for report(): rescan the full row log, in the
@@ -335,15 +316,6 @@ TEST(Monitor, SystemReportsAgreeAcrossThreadsAndRowRecording) {
   EXPECT_EQ(system_reports(4, false), sequential);
   EXPECT_EQ(system_reports(1, true), sequential);
   EXPECT_EQ(system_reports(4, true), sequential);
-}
-
-TEST(Monitor, ClearRecordsKeepsAssociations) {
-  SystemMonitor monitor(2, 1);
-  monitor.register_user(UserAssociation{"imsi-1", "10.0.0.1", 0});
-  monitor.record(0, 0, 0, make_step({-1, -1}, {}), {});
-  monitor.clear_records();
-  EXPECT_TRUE(monitor.records().empty());
-  EXPECT_EQ(monitor.user_count(), 1u);
 }
 
 }  // namespace

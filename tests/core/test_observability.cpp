@@ -115,7 +115,11 @@ TEST_F(ObservabilityTest, SystemRunPopulatesMetricsAndSpans) {
       tracer.overall("system.period/coordinate/coordinator.solve").count, 3u);
   EXPECT_EQ(tracer.overall("system.ra_intervals").count, 6u);
   // Per-period aggregation keyed by the running period index.
-  EXPECT_EQ(tracer.for_period("system.period", 2).count, 1u);
+  std::size_t period_2_count = 0;
+  for (const auto& [period, stats] : tracer.periods("system.period")) {
+    if (period == 2) period_2_count = stats.count;
+  }
+  EXPECT_EQ(period_2_count, 1u);
 }
 
 TEST_F(ObservabilityTest, SubstrateManagersWriteUtilizationGauges) {

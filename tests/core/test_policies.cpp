@@ -32,8 +32,8 @@ TEST(TaroPolicy, ProportionalToQueueLengths) {
   // slice-specific rates.
   environment.set_arrival_rates({30.0, 10.0});
   environment.step(std::vector<double>(6, 0.0));
-  const double l0 = static_cast<double>(environment.queue(0).length());
-  const double l1 = static_cast<double>(environment.queue(1).length());
+  const double l0 = static_cast<double>(environment.queue(0).length);
+  const double l1 = static_cast<double>(environment.queue(1).length);
   ASSERT_GT(l0 + l1, 0.0);
   TaroPolicy taro;
   const auto action = taro.decide(environment);

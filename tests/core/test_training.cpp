@@ -124,7 +124,7 @@ TEST(Training, ValidatePolicyRestoresEnvironmentState) {
   environment.set_coordination({-10.0, -20.0});
   validate_policy(*agent, environment, -25.0, 10);
   EXPECT_EQ(environment.coordination(), (std::vector<double>{-10.0, -20.0}));
-  EXPECT_EQ(environment.queue(0).length(), 0u);  // reset on exit
+  EXPECT_EQ(environment.queue(0).length, 0u);  // reset on exit
 }
 
 TEST(Training, BoundarySamplingPinsCoordination) {
@@ -152,7 +152,7 @@ TEST(Training, ContinuingModeKeepsQueuesAcrossResamples) {
   training.reset_on_resample = false;
   train_agent(*agent, environment, training, rng);
   // 45 steps of Poisson(10) arrivals with no reset: total arrivals ~ 450.
-  EXPECT_GT(environment.queue(0).total_arrivals() + environment.queue(1).total_arrivals(),
+  EXPECT_GT(environment.queue(0).arrivals + environment.queue(1).arrivals,
             500u);  // both slices combined
 }
 
@@ -166,7 +166,7 @@ TEST(Training, EpisodicModeResetsQueues) {
   train_agent(*agent, environment, training, rng);
   // The last reset happened at step 40; only ~5 steps of arrivals remain
   // in the counters.
-  EXPECT_LT(environment.queue(0).total_arrivals(), 150u);
+  EXPECT_LT(environment.queue(0).arrivals, 150u);
 }
 
 TEST(Training, ValidationScoreInvariantToCurrentTrafficRates) {

@@ -300,8 +300,8 @@ TEST(Environment, ResetClearsQueues) {
   auto environment = make_env();
   environment.step(std::vector<double>(6, 0.0));
   environment.reset();
-  EXPECT_EQ(environment.queue(0).length(), 0u);
-  EXPECT_EQ(environment.queue(1).length(), 0u);
+  EXPECT_EQ(environment.queue(0).length, 0u);
+  EXPECT_EQ(environment.queue(1).length, 0u);
 }
 
 TEST(Environment, DeterministicGivenSeed) {

@@ -1,6 +1,12 @@
-#include "env/queue.h"
+#include "slice_queue.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
+
+#include "env/environment.h"
+#include "env/service_model.h"
 
 namespace edgeslice::env {
 namespace {
@@ -120,6 +126,53 @@ TEST(SliceQueue, ConservationInvariant) {
     departed += q.serve(2.7);
   }
   EXPECT_EQ(admitted, departed + q.length());
+}
+
+// The environment's structure-of-arrays queues against the reference: step
+// a seeded environment, replay each slice's offered arrivals and granted
+// service rate into a SliceQueue, and compare all five fields every step.
+// Slice 1 is starved behind a short bound, so it drops; slice 0 is lightly
+// loaded and well served, so it drains and forfeits its credit.
+TEST(SliceQueue, EnvironmentQueuesMatchTheReferenceStepByStep) {
+  RaEnvironmentConfig config;
+  config.max_queue = 40;
+  const auto model = std::make_shared<DirectServiceModel>(prototype_capacity());
+  RaEnvironment environment(config, {slice1_profile(), slice2_profile()}, model,
+                            make_queue_power_perf(), Rng(11));
+  environment.set_arrival_rates({2.0, 9.0});
+  std::vector<SliceQueue> reference(2, SliceQueue(config.max_queue));
+  Rng actions(5);
+  StepResult result;
+  std::size_t drop_steps = 0;
+  std::size_t idle_steps = 0;
+  std::size_t fractional_steps = 0;
+  for (int t = 0; t < 400; ++t) {
+    std::vector<double> action(6);
+    for (std::size_t k = 0; k < 3; ++k) {
+      action[k] = actions.uniform(0.3, 1.0);      // slice 0: well served
+      action[3 + k] = actions.uniform(0.0, 0.1);  // slice 1: starved
+    }
+    const QueueState before[2] = {environment.queue(0), environment.queue(1)};
+    environment.step_into(action, result);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const QueueState after = environment.queue(i);
+      SliceQueue& ref = reference[i];
+      ref.arrive(after.arrivals - before[i].arrivals);
+      ref.serve(result.service_rates[i]);
+      ASSERT_EQ(after.length, ref.length()) << "slice " << i << " step " << t;
+      ASSERT_EQ(after.credit, ref.credit()) << "slice " << i << " step " << t;
+      ASSERT_EQ(after.dropped, ref.dropped()) << "slice " << i << " step " << t;
+      ASSERT_EQ(after.arrivals, ref.total_arrivals()) << "slice " << i << " step " << t;
+      ASSERT_EQ(after.departures, ref.total_departures()) << "slice " << i << " step " << t;
+      drop_steps += after.dropped > before[i].dropped;
+      idle_steps += after.length == 0;
+      fractional_steps += after.credit > 0.0;
+    }
+  }
+  // The run covered every branch of the queue update.
+  EXPECT_GT(drop_steps, 0u);
+  EXPECT_GT(idle_steps, 0u);
+  EXPECT_GT(fractional_steps, 0u);
 }
 
 }  // namespace

@@ -461,5 +461,27 @@ TEST(WireCodec, TruncatedPayloadsThrowInsteadOfMisparse) {
   EXPECT_THROW(decode_hello(hello.substr(0, hello.size() - 1)), std::runtime_error);
 }
 
+TEST(WireCodec, TelemetryEventKindOutOfRangeThrows) {
+  TelemetryEventsPayload payload;
+  payload.events.resize(2);
+  payload.events[0].kind = obs::EventKind::RcmDropped;
+  payload.events[1].kind = obs::kLastEventKind;
+  payload.events[1].value = 3.5;
+  std::string bytes = encode_telemetry_events(payload);
+  const TelemetryEventsPayload got = decode_telemetry_events(bytes);
+  ASSERT_EQ(got.events.size(), 2u);
+  EXPECT_EQ(got.events[1].kind, obs::kLastEventKind);
+  EXPECT_EQ(got.events[1].value, 3.5);
+  // Layout: u64 count, then per event seven u64/f64 fields, the u8 kind
+  // and an f64 value (65 bytes).
+  const std::size_t second_kind = 8 + 65 + 7 * 8;
+  ASSERT_EQ(static_cast<std::uint8_t>(bytes[second_kind]),
+            static_cast<std::uint8_t>(obs::kLastEventKind));
+  bytes[second_kind] = static_cast<char>(0xFF);
+  EXPECT_THROW(decode_telemetry_events(bytes), std::runtime_error);
+  bytes[second_kind] = static_cast<char>(static_cast<std::uint8_t>(obs::kLastEventKind) + 1);
+  EXPECT_THROW(decode_telemetry_events(bytes), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace edgeslice::ipc

@@ -7,6 +7,7 @@
 
 #include "bit_identity.h"
 #include "common/rng.h"
+#include "matrix_reference.h"
 
 namespace edgeslice::nn {
 namespace {
@@ -61,7 +62,8 @@ TEST(Activations, SoftplusLargeInputStable) {
 
 TEST(Activations, MatrixFormMatchesScalar) {
   Matrix z{{-1.0, 0.0, 2.0}};
-  const auto y = activate(z, Activation::Sigmoid);
+  Matrix y = z;
+  activate_assign(y, Activation::Sigmoid);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_DOUBLE_EQ(y(0, c), activate(z(0, c), Activation::Sigmoid));
   }
@@ -85,7 +87,7 @@ TEST_P(ActivationGradientTest, FusedProductBitIdenticalToGradTimesUpstream) {
       g(r, c) = specials[c];
     }
   }
-  const Matrix cache = grad_reads_pre_activation(a) ? z : activate(z, a);
+  const Matrix cache = grad_reads_pre_activation(a) ? z : activated(z, a);
   Matrix out;
   activate_grad_product(cache, g, a, out);
   ASSERT_EQ(out.rows(), z.rows());

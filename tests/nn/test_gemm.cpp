@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "matrix_reference.h"
 #include "nn/activations.h"
 #include "nn/gemm.h"
 #include "nn/matrix.h"
@@ -133,11 +134,11 @@ TEST_F(GemmTest, Avx2MatchesScalarWithinBoundOnAllEntryPoints) {
     set_gemm_backend(GemmBackend::Scalar);
     const Matrix abs_dot = abs_a.matmul(abs_b);
     const Matrix nn_s = a.matmul(b);
-    const Matrix at_s = a.transposed_matmul(a.matmul(b));
+    const Matrix at_s = transposed_matmul(a, a.matmul(b));
     const Matrix bt_s = a.matmul_transposed(bt);
     set_gemm_backend(GemmBackend::Avx2);
     const Matrix nn_v = a.matmul(b);
-    const Matrix at_v = a.transposed_matmul(a.matmul(b));
+    const Matrix at_v = transposed_matmul(a, a.matmul(b));
     const Matrix bt_v = a.matmul_transposed(bt);
     expect_within_ulp_bound(nn_s, nn_v, abs_dot, shape.k, "matmul");
     // at/bt reuse the same per-element chain; the nn abs-dot bound is the
@@ -201,7 +202,7 @@ TEST_F(GemmTest, TransposedMatmulMatchesMaterializedTransposeBitForBit) {
     set_gemm_backend(backend);
     const Matrix a = random_matrix(37, 11, rng);
     const Matrix b = random_matrix(37, 9, rng);
-    EXPECT_EQ(a.transposed_matmul(b).data(), a.transpose().matmul(b).data())
+    EXPECT_EQ(transposed_matmul(a, b).data(), transpose(a).matmul(b).data())
         << gemm_backend_name(backend);
   }
 }
@@ -214,7 +215,7 @@ TEST_F(GemmTest, AddTransposedMatmulAccumulates) {
     set_gemm_backend(mode);
     Matrix acc(6, 8, 0.0);
     acc.add_transposed_matmul(a, b);
-    EXPECT_EQ(acc.data(), a.transposed_matmul(b).data()) << mode;
+    EXPECT_EQ(acc.data(), transpose(a).matmul(b).data()) << mode;
     Matrix wrong(5, 8, 0.0);
     EXPECT_THROW(wrong.add_transposed_matmul(a, b), std::invalid_argument);
   }
@@ -271,7 +272,7 @@ TEST(ActivateAssignTest, BitIdenticalToActivateForEveryActivation) {
                             Activation::Sigmoid,  Activation::Softplus};
   for (const Activation a : all) {
     Matrix z = random_matrix(7, 13, rng);
-    const Matrix expected = activate(z, a);
+    const Matrix expected = activated(z, a);
     activate_assign(z, a);
     EXPECT_EQ(z.data(), expected.data())
         << "activation " << static_cast<int>(a);
@@ -342,7 +343,7 @@ TEST(GemmKernelContract, Avx2KernelsMatchScalarReferenceBitForBit) {
         const Matrix a = contract_operand(m, k, rng, /*nan_row=*/true);
         const Matrix b = contract_operand(k, n, rng, /*nan_row=*/false);
         const Matrix bt = contract_operand(n, k, rng, /*nan_row=*/false);
-        const Matrix a_t = a.transpose();  // the at kernel's stored layout
+        const Matrix a_t = transpose(a);  // the at kernel's stored layout
         Matrix bias = contract_operand(1, n, rng, /*nan_row=*/false);
         bias(0, 0) = -0.0;
         Matrix nn(m, n);
@@ -390,7 +391,7 @@ TEST(ActivateAssignTest, RectifiersSelectLikeActivateOnSignedZeroAndNan) {
   const double inf = std::numeric_limits<double>::infinity();
   for (const Activation a : {Activation::Relu, Activation::LeakyRelu}) {
     Matrix z{{-0.0, 0.0, nan, -nan, inf, -inf, -2.5, 3.0, 1e-310, -1e-310}};
-    const Matrix expected = activate(z, a);
+    const Matrix expected = activated(z, a);
     activate_assign(z, a);
     for (std::size_t c = 0; c < z.cols(); ++c) {
       EXPECT_TRUE(same_bits(z(0, c), expected(0, c)))

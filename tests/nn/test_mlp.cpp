@@ -9,6 +9,7 @@
 
 #include "bit_identity.h"
 #include "common/rng.h"
+#include "matrix_reference.h"
 
 namespace edgeslice::nn {
 namespace {
@@ -170,7 +171,7 @@ TEST(Mlp, CopyParametersMakesIdentical) {
   Rng rng(8);
   Mlp a({2, 4, 1}, Activation::Relu, Activation::Identity, rng);
   Mlp b({2, 4, 1}, Activation::Relu, Activation::Identity, rng);
-  b.copy_parameters_from(a);
+  b.soft_update_from(a, 1.0);  // tau = 1 is a hard copy
   const std::vector<double> x{0.3, -0.7};
   EXPECT_EQ(a.infer_vector(x), b.infer_vector(x));
 }

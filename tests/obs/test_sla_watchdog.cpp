@@ -29,9 +29,9 @@ class SlaWatchdogTest : public ::testing::Test {
 
 TEST_F(SlaWatchdogTest, CountsViolationsPerSlice) {
   SlaWatchdog watchdog({SloSpec{-50.0, ""}, SloSpec{-50.0, ""}});
-  watchdog.evaluate(0, {-40.0, -60.0});  // slice 1 violates
-  watchdog.evaluate(1, {-55.0, -45.0});  // slice 0 violates
-  watchdog.evaluate(2, {-10.0, -10.0});  // healthy
+  watchdog.evaluate(0, {-40.0, -60.0}, {});  // slice 1 violates
+  watchdog.evaluate(1, {-55.0, -45.0}, {});  // slice 0 violates
+  watchdog.evaluate(2, {-10.0, -10.0}, {});  // healthy
   EXPECT_EQ(watchdog.periods_evaluated(), 3u);
   EXPECT_EQ(watchdog.violations(0), 1u);
   EXPECT_EQ(watchdog.violations(1), 1u);
@@ -43,9 +43,9 @@ TEST_F(SlaWatchdogTest, CountsViolationsPerSlice) {
 TEST_F(SlaWatchdogTest, ExactFloorIsNotAViolation) {
   // Same 1e-9 tolerance the coordinator's sla_satisfied() uses.
   SlaWatchdog watchdog({SloSpec{-50.0, ""}});
-  watchdog.evaluate(0, {-50.0});
+  watchdog.evaluate(0, {-50.0}, {});
   EXPECT_EQ(watchdog.total_violations(), 0u);
-  watchdog.evaluate(1, {-50.0 - 1e-6});
+  watchdog.evaluate(1, {-50.0 - 1e-6}, {});
   EXPECT_EQ(watchdog.total_violations(), 1u);
 }
 
@@ -63,21 +63,21 @@ TEST_F(SlaWatchdogTest, AnomalyScoreRisesUnderBreachAndDecaysAfterRecovery) {
   SlaWatchdog watchdog({SloSpec{-50.0, ""}}, config);
   EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), 0.0);
   // Sustained breach of depth 25 -> normalized shortfall 25/50 = 0.5.
-  watchdog.evaluate(0, {-75.0});
+  watchdog.evaluate(0, {-75.0}, {});
   EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), 0.25);  // 0 + 0.5*(0.5-0)
-  watchdog.evaluate(1, {-75.0});
+  watchdog.evaluate(1, {-75.0}, {});
   EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), 0.375);
   const double peak = watchdog.anomaly_score(0);
   // Recovery: score decays geometrically toward zero.
-  watchdog.evaluate(2, {-10.0});
+  watchdog.evaluate(2, {-10.0}, {});
   EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), peak * 0.5);
-  watchdog.evaluate(3, {-10.0});
+  watchdog.evaluate(3, {-10.0}, {});
   EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), peak * 0.25);
 }
 
 TEST_F(SlaWatchdogTest, PublishesMetricsAndEmitsViolationEvents) {
   SlaWatchdog watchdog({SloSpec{-50.0, ""}, SloSpec{-50.0, "urllc"}});
-  watchdog.evaluate(9, {-70.0, -30.0});
+  watchdog.evaluate(9, {-70.0, -30.0}, {});
   auto& metrics = edgeslice::global_metrics();
   EXPECT_EQ(metrics.counter("sla.violations").value(), 1u);
   EXPECT_EQ(metrics.counter("sla.violations.slice0").value(), 1u);
@@ -101,21 +101,11 @@ TEST_F(SlaWatchdogTest, InternalCountersWorkWithMetricsDisabled) {
   // keeps working.
   SlaWatchdog watchdog({SloSpec{-50.0, ""}});
   set_metrics_enabled(false);
-  watchdog.evaluate(0, {-80.0});
+  watchdog.evaluate(0, {-80.0}, {});
   set_metrics_enabled(true);
   EXPECT_EQ(watchdog.total_violations(), 1u);
   EXPECT_EQ(edgeslice::global_metrics().counter("sla.violations").value(), 0u);
   EXPECT_TRUE(global_event_log().snapshot().empty());
-}
-
-TEST_F(SlaWatchdogTest, ResetClearsAccounting) {
-  SlaWatchdog watchdog({SloSpec{-50.0, ""}});
-  watchdog.evaluate(0, {-80.0});
-  watchdog.reset();
-  EXPECT_EQ(watchdog.periods_evaluated(), 0u);
-  EXPECT_EQ(watchdog.total_violations(), 0u);
-  EXPECT_DOUBLE_EQ(watchdog.anomaly_score(0), 0.0);
-  EXPECT_DOUBLE_EQ(watchdog.violation_rate(0), 0.0);
 }
 
 TEST_F(SlaWatchdogTest, RejectsBadConfigurations) {
@@ -126,7 +116,7 @@ TEST_F(SlaWatchdogTest, RejectsBadConfigurations) {
   bad.anomaly_alpha = 1.5;
   EXPECT_THROW(SlaWatchdog({SloSpec{}}, bad), std::invalid_argument);
   SlaWatchdog watchdog({SloSpec{}});
-  EXPECT_THROW(watchdog.evaluate(0, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(watchdog.evaluate(0, {1.0, 2.0}, {}), std::invalid_argument);
 }
 
 }  // namespace

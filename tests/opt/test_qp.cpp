@@ -1,11 +1,10 @@
-#include "opt/qp.h"
+#include "projection_qp.h"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "common/rng.h"
-#include "opt/projection.h"
 
 namespace edgeslice::opt {
 namespace {
@@ -17,7 +16,8 @@ TEST(Qp, MatchesClosedFormProjection) {
   for (int trial = 0; trial < 100; ++trial) {
     const auto c = rng.normals(3, -20.0, 30.0);
     const double bound = rng.uniform(-80.0, 20.0);
-    const auto closed = project_halfspace_sum_ge(c, bound);
+    std::vector<double> closed;
+    project_halfspace_sum_ge_into(c, bound, closed);
     const auto iterative = solve_projection_qp(c, bound);
     EXPECT_TRUE(iterative.converged);
     for (std::size_t i = 0; i < c.size(); ++i) {

@@ -145,14 +145,6 @@ TEST(GaussianPolicy, KlPositiveAwayFromOldPolicy) {
   EXPECT_GT(policy.mean_kl(old_means, old_log_std, states), 0.0);
 }
 
-TEST(GaussianPolicy, EntropyGrowsWithLogStd) {
-  Rng rng(11);
-  GaussianPolicy policy = make_policy(rng);
-  const double h0 = policy.entropy();
-  policy.set_log_std({0.5, 0.5});
-  EXPECT_GT(policy.entropy(), h0);
-}
-
 TEST(GaussianPolicy, EntropyGradientIsOnePerDim) {
   Rng rng(12);
   GaussianPolicy policy = make_policy(rng);

@@ -52,43 +52,5 @@ TEST(DecayingGaussianNoise, ResetRestoresSigma) {
   EXPECT_DOUBLE_EQ(noise.sigma(), 2.0);
 }
 
-TEST(OrnsteinUhlenbeck, StartsAtZeroAndResets) {
-  OrnsteinUhlenbeckNoise noise(3);
-  Rng rng(6);
-  const auto first = noise.sample(rng);
-  EXPECT_EQ(first.size(), 3u);
-  noise.reset();
-  // After reset, the internal state is zero again; one step has mean 0.
-  const auto after = noise.sample(rng);
-  EXPECT_EQ(after.size(), 3u);
-}
-
-TEST(OrnsteinUhlenbeck, MeanRevertsTowardZero) {
-  OrnsteinUhlenbeckNoise noise(1, /*theta=*/0.5, /*sigma=*/0.0);
-  Rng rng(7);
-  // With sigma = 0 the process decays deterministically from its state.
-  // Pump state up via a sigma burst first.
-  OrnsteinUhlenbeckNoise pumped(1, 0.2, 1.0);
-  auto v = pumped.sample(rng);
-  (void)v;
-  // Deterministic check on the zero-sigma process: state stays 0.
-  const auto s = noise.sample(rng);
-  EXPECT_DOUBLE_EQ(s[0], 0.0);
-}
-
-TEST(OrnsteinUhlenbeck, SamplesAreCorrelated) {
-  OrnsteinUhlenbeckNoise noise(1, 0.05, 0.3);
-  Rng rng(8);
-  double prev = noise.sample(rng)[0];
-  double correlation_proxy = 0.0;
-  for (int i = 0; i < 500; ++i) {
-    const double cur = noise.sample(rng)[0];
-    correlation_proxy += (cur > 0) == (prev > 0) ? 1.0 : 0.0;
-    prev = cur;
-  }
-  // OU with small theta keeps its sign most of the time, unlike white noise.
-  EXPECT_GT(correlation_proxy / 500.0, 0.8);
-}
-
 }  // namespace
 }  // namespace edgeslice::rl

@@ -211,12 +211,5 @@ TEST(ServeProtocol, AppendedFramesReassembleInSeqOrder) {
   EXPECT_EQ(frames[2].payload, "nonce");
 }
 
-TEST(ServeProtocol, StatusNamesAreStable) {
-  EXPECT_STREQ(decide_status_name(kDecideOk), "ok");
-  EXPECT_STREQ(decide_status_name(kDecideBadRequest), "bad_request");
-  EXPECT_STREQ(decide_status_name(kDecideShed), "shed");
-  EXPECT_STREQ(decide_status_name(12345), "unknown");
-}
-
 }  // namespace
 }  // namespace edgeslice::serve
